@@ -9,14 +9,20 @@ from .core import (
     NaryTable,
     PowerProfile,
     Subuniverse,
+    TableFacts,
     Word,
+    canonical_form,
     compute_exponent,
     element_power,
     enumerate_subuniverses,
     eval_word,
     is_associative,
     is_closed,
+    is_commutative,
+    is_idempotent,
     power_profile,
+    table_digest,
+    table_facts,
 )
 from .criteria import (
     AbsorptionVerdict,
@@ -28,8 +34,6 @@ from .criteria import (
     decide_theorem,
     derive_power_algebra,
     detect_case,
-    is_commutative,
-    is_idempotent,
     verify_witness,
 )
 from .errors import (
@@ -45,8 +49,6 @@ from .errors import (
 )
 from .generate import (
     GenSpec,
-    canonical_form,
-    derive_from_semigroup,
     enumerate_pairs,
     enumerate_tables,
     random_filtered,
@@ -57,7 +59,6 @@ from .harness import (
     check_pair,
     derived_fact_probes,
     run_corpus,
-    table_digest,
 )
 from .oracle import Agreement, OracleBounds, OracleOutcome, oracle_agrees, search_absorbing_term
 from .version import VERSION
@@ -86,6 +87,7 @@ __all__ = [
     "PowerProfile",
     "PreconditionsUnmet",
     "Subuniverse",
+    "TableFacts",
     "Word",
     "canonical_form",
     "check_pair",
@@ -94,7 +96,6 @@ __all__ = [
     "cond3_products",
     "construct_witness",
     "decide_theorem",
-    "derive_from_semigroup",
     "derive_power_algebra",
     "derived_fact_probes",
     "detect_case",
@@ -113,5 +114,6 @@ __all__ = [
     "run_corpus",
     "search_absorbing_term",
     "table_digest",
+    "table_facts",
     "verify_witness",
 ]

@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .core import compute_exponent, is_associative, power_profile
 from .criteria import decide_theorem, derive_power_algebra
 from .errors import AbsorbError
 from .fileio import load_algebra, load_subuniverse, read_corpus_dir, save_algebra, write_corpus_dir
 from .generate import GenSpec, enumerate_tables
-from .harness import STATUS_CONSISTENT, run_corpus, table_digest, _word_record
+from .harness import STATUS_CONSISTENT, oracle_record, run_corpus, table_digest, verdict_record
 from .oracle import Agreement, OracleBounds, oracle_agrees, search_absorbing_term
 from .version import VERSION
 
@@ -23,13 +24,6 @@ from .version import VERSION
 def _emit(doc: dict) -> None:
     json.dump(doc, sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")
-
-
-def _bounds_from_args(args) -> OracleBounds:
-    return OracleBounds(
-        max_vars=args.max_vars if args.max_vars is not None else 3,
-        max_len=args.max_len,
-    )
 
 
 def _cmd_check(args) -> int:
@@ -47,26 +41,14 @@ def _cmd_check(args) -> int:
         doc["trivial"] = True
         _emit(doc)
         return 0
-    bounds = _bounds_from_args(args)
+    bounds = OracleBounds(max_vars=args.max_vars, max_len=args.max_len)
     verdict = outcome = None
     if args.method in ("theorem", "both"):
         verdict = decide_theorem(table, sub)
-        doc["theorem"] = {
-            "absorbs": verdict.absorbs,
-            "exponent_k": verdict.exponent_k,
-            "witness": _word_record(verdict.witness),
-            "failed_condition": (
-                verdict.failed_condition.value if verdict.failed_condition else None
-            ),
-            "proof_status": verdict.proof_status.value,
-        }
+        doc["theorem"] = verdict_record(verdict)
     if args.method in ("oracle", "both"):
         outcome = search_absorbing_term(table, sub, bounds)
-        doc["oracle"] = {
-            "found": outcome.found,
-            "witness": _word_record(outcome.witness),
-            "words_examined": outcome.words_examined,
-        }
+        doc["oracle"] = oracle_record(outcome)
     code = 0
     if args.method == "both":
         agreement = oracle_agrees(table, sub, bounds, verdict, outcome=outcome)
@@ -83,10 +65,7 @@ def _cmd_exponent(args) -> int:
     _emit(
         {
             "exponent": compute_exponent(table),
-            "profiles": [
-                {"element": p.element, "tail": p.tail, "period": p.period}
-                for p in profiles
-            ],
+            "profiles": [asdict(p) for p in profiles],
         }
     )
     return 0
@@ -110,7 +89,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify_conjecture(args) -> int:
     tables, corpus_meta = read_corpus_dir(args.corpus)
-    bounds = _bounds_from_args(args)
+    bounds = OracleBounds(max_vars=args.max_vars, max_len=args.max_len)
     meta = {
         "corpus": {
             key: corpus_meta[key]
@@ -156,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True)
     p.add_argument("--sub", required=True)
     p.add_argument("--method", choices=("theorem", "oracle", "both"), default="both")
-    p.add_argument("--max-vars", type=int, default=None)
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--max-vars", type=int, default=OracleBounds.max_vars)
+    p.add_argument("--max-len", type=int, default=OracleBounds.max_len)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("exponent", help="minimal exponent k with a^k = a for all a")
@@ -180,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--report", required=True)
     p.add_argument("--resume", default=None)
-    p.add_argument("--max-vars", type=int, default=None)
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--max-vars", type=int, default=OracleBounds.max_vars)
+    p.add_argument("--max-len", type=int, default=OracleBounds.max_len)
     p.set_defaults(func=_cmd_verify_conjecture)
 
     p = sub.add_parser("power-algebra", help="derive the k-ary table of k-fold products")

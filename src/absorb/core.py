@@ -7,15 +7,19 @@ lengths 1 mod (arity - 1).
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import BudgetExceeded, LengthNotEvaluable
+from .errors import BudgetExceeded, LengthNotEvaluable, NotAssociative
 
 # Exhaustive subuniverse scans iterate 2^m - 1 subsets; cap the carrier size.
 SUBSET_SCAN_MAX_SIZE = 16
+
+# Element-relabeling search bound for canonical forms (m! permutations).
+CANONICAL_PERM_MAX_SIZE = 6
 
 _VAR_NAMES = "xyzuvw"
 
@@ -46,7 +50,7 @@ class NaryTable:
                 f"got {len(self.entries)}"
             )
         for e in self.entries:
-            if not isinstance(e, int) or not 0 <= e < self.size:
+            if type(e) is not int or not 0 <= e < self.size:  # bool is rejected too
                 raise ValueError(f"entry {e!r} is not an element index below {self.size}")
 
     @classmethod
@@ -78,7 +82,7 @@ class Subuniverse:
         object.__setattr__(self, "members", frozenset(self.members))
         if not self.members:
             raise ValueError("subuniverse must be nonempty")
-        if any(not 0 <= a < self.carrier_size for a in self.members):
+        if any(type(a) is not int or not 0 <= a < self.carrier_size for a in self.members):
             raise ValueError("subuniverse members must be element indices below carrier_size")
 
     @classmethod
@@ -254,6 +258,85 @@ def is_associative(table: NaryTable) -> bool:
                 return False
             prev = value
     return True
+
+
+def is_commutative(table: NaryTable) -> bool:
+    """Invariant under all argument permutations; adjacent swaps suffice."""
+    for tup in itertools.product(range(table.size), repeat=table.arity):
+        value = table.apply(*tup)
+        for i in range(table.arity - 1):
+            swapped = tup[:i] + (tup[i + 1], tup[i]) + tup[i + 2 :]
+            if table.apply(*swapped) != value:
+                return False
+    return True
+
+
+def is_idempotent(table: NaryTable) -> bool:
+    return all(table.apply(*([a] * table.arity)) == a for a in range(table.size))
+
+
+def canonical_form(table: NaryTable) -> NaryTable:
+    """Lexicographically minimal entry sequence over all element relabelings.
+
+    Isomorphic tables map to equal canonical forms; the map is idempotent.
+    """
+    m, n = table.size, table.arity
+    if m > CANONICAL_PERM_MAX_SIZE:
+        raise BudgetExceeded(
+            f"canonical form over {m}! relabelings exceeds the cap of "
+            f"{CANONICAL_PERM_MAX_SIZE}!"
+        )
+    tuples = list(itertools.product(range(m), repeat=n))
+    best: tuple[int, ...] | None = None
+    for perm in itertools.permutations(range(m)):
+        relabeled = [0] * len(table.entries)
+        for i, tup in enumerate(tuples):
+            j = 0
+            for a in tup:
+                j = j * m + perm[a]
+            relabeled[j] = perm[table.entries[i]]
+        candidate = tuple(relabeled)
+        if best is None or candidate < best:
+            best = candidate
+    return NaryTable(n, m, best)
+
+
+def table_digest(table: NaryTable) -> str:
+    """Isomorphism-invariant id when the relabeling budget allows, else raw."""
+    if table.size <= CANONICAL_PERM_MAX_SIZE:
+        base = canonical_form(table)
+        prefix = "c"
+    else:
+        base = table
+        prefix = "r"
+    payload = f"{base.arity}:{base.size}:{','.join(map(str, base.entries))}"
+    return prefix + hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+@dataclass(frozen=True)
+class TableFacts:
+    """Facts of an associative table that hold for every subuniverse; never cached."""
+
+    table: NaryTable
+    exponent_k: int | None
+    commutative: bool
+    idempotent: bool
+    digest: str
+
+
+def table_facts(table: NaryTable | TableFacts) -> TableFacts:
+    """Check associativity once and compute the facts; a TableFacts passes through."""
+    if isinstance(table, TableFacts):
+        return table
+    if not is_associative(table):
+        raise NotAssociative("table is not associative")
+    return TableFacts(
+        table=table,
+        exponent_k=compute_exponent(table),
+        commutative=is_commutative(table),
+        idempotent=is_idempotent(table),
+        digest=table_digest(table),
+    )
 
 
 def is_closed(table: NaryTable, sub: Subuniverse) -> bool:

@@ -12,21 +12,22 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import (
+from .core import (  # is_commutative and is_idempotent are re-exported
     NaryTable,
     Subuniverse,
+    TableFacts,
     Word,
     _reduce_left,
-    compute_exponent,
     eval_word,
-    is_associative,
     is_closed,
+    is_commutative,
+    is_idempotent,
     length_evaluable,
+    table_facts,
 )
 from .errors import (
     InvalidArityTarget,
     LengthNotEvaluable,
-    NotAssociative,
     NotClosed,
     NotProperSubuniverse,
 )
@@ -67,17 +68,6 @@ class AbsorptionVerdict:
     proof_status: CaseTag
 
 
-def _require_pair(table: NaryTable, sub: Subuniverse) -> None:
-    if sub.carrier_size != table.size:
-        raise ValueError("subuniverse carrier does not match table size")
-    if not is_associative(table):
-        raise NotAssociative("table is not associative")
-    if not is_closed(table, sub):
-        raise NotClosed(f"subset {sub.elements} is not closed")
-    if not sub.is_proper():
-        raise NotProperSubuniverse("criterion requires a proper subuniverse")
-
-
 def cond2_products(table: NaryTable, sub: Subuniverse) -> bool:
     """Padded products a b^(n-1) and b^(n-1) a stay in the subset."""
     pad = table.arity - 1
@@ -102,34 +92,21 @@ def cond3_products(table: NaryTable, sub: Subuniverse) -> bool:
     return True
 
 
-def is_commutative(table: NaryTable) -> bool:
-    """Invariant under all argument permutations; adjacent swaps suffice."""
-    for tup in itertools.product(range(table.size), repeat=table.arity):
-        value = table.apply(*tup)
-        for i in range(table.arity - 1):
-            swapped = tup[:i] + (tup[i + 1], tup[i]) + tup[i + 2 :]
-            if table.apply(*swapped) != value:
-                return False
-    return True
-
-
-def is_idempotent(table: NaryTable) -> bool:
-    return all(table.apply(*([a] * table.arity)) == a for a in range(table.size))
-
-
-def detect_case(table: NaryTable, sub: Subuniverse) -> CaseTag:
+def detect_case(table: NaryTable | TableFacts, sub: Subuniverse) -> CaseTag:
     """First applicable proved case, in the fixed priority order.
 
     Any applicable tag certifies the verdict, so the order only affects
     reporting.
     """
+    facts = table_facts(table)
+    table = facts.table
     if table.arity == 2:
         return CaseTag.THEOREM_BINARY
-    if is_commutative(table):
+    if facts.commutative:
         return CaseTag.THEOREM_COMMUTATIVE
     if table.size - len(sub.members) == 1:
         return CaseTag.THEOREM_COATOM
-    if table.arity == 3 and is_idempotent(table):
+    if table.arity == 3 and facts.idempotent:
         return CaseTag.THEOREM_IDEMPOTENT_TERNARY
     return CaseTag.CONJECTURAL
 
@@ -178,37 +155,31 @@ def verify_witness(table: NaryTable, sub: Subuniverse, word: Word) -> bool:
     return absorption_conditions_hold(table, sub, word.letters, v)
 
 
-def decide_theorem(table: NaryTable, sub: Subuniverse) -> AbsorptionVerdict:
+def decide_theorem(table: NaryTable | TableFacts, sub: Subuniverse) -> AbsorptionVerdict:
     """Decide absorption via the product-plus-exponent criterion.
 
     Binary tables get a theorem-backed verdict; for n >= 3 the verdict is
     certified by detect_case and is otherwise conjectural.
     """
-    _require_pair(table, sub)
-    case = detect_case(table, sub)
-    k = compute_exponent(table)
+    facts = table_facts(table)
+    table = facts.table
+    if not is_closed(table, sub):  # raises ValueError on a carrier mismatch
+        raise NotClosed(f"subset {sub.elements} is not closed")
+    if not sub.is_proper():
+        raise NotProperSubuniverse("criterion requires a proper subuniverse")
+    k = facts.exponent_k
     if not cond2_products(table, sub):
-        return AbsorptionVerdict(
-            absorbs=False,
-            exponent_k=k,
-            witness=None,
-            failed_condition=FailedCondition.PRODUCTS_ESCAPE_B,
-            proof_status=case,
-        )
-    if k is None:
-        return AbsorptionVerdict(
-            absorbs=False,
-            exponent_k=None,
-            witness=None,
-            failed_condition=FailedCondition.NO_EXPONENT,
-            proof_status=case,
-        )
+        failed = FailedCondition.PRODUCTS_ESCAPE_B
+    elif k is None:
+        failed = FailedCondition.NO_EXPONENT
+    else:
+        failed = None
     return AbsorptionVerdict(
-        absorbs=True,
+        absorbs=failed is None,
         exponent_k=k,
-        witness=construct_witness(table, sub, k),
-        failed_condition=None,
-        proof_status=case,
+        witness=construct_witness(table, sub, k) if failed is None else None,
+        failed_condition=failed,
+        proof_status=detect_case(facts, sub),
     )
 
 

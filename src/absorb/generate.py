@@ -6,11 +6,20 @@ from __future__ import annotations
 import itertools
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
-from .core import NaryTable, Subuniverse, enumerate_subuniverses, is_associative
-from .criteria import derive_power_algebra, is_commutative, is_idempotent
+from .core import (  # CANONICAL_PERM_MAX_SIZE and canonical_form are re-exported
+    CANONICAL_PERM_MAX_SIZE,
+    NaryTable,
+    Subuniverse,
+    canonical_form,
+    enumerate_subuniverses,
+    is_associative,
+    is_commutative,
+    is_idempotent,
+)
+from .criteria import derive_power_algebra
 from .errors import AttemptCapExhausted, BudgetExceeded
 
 # Backtracking budget: number of free cells (or cell orbits, once filters
@@ -18,9 +27,6 @@ from .errors import AttemptCapExhausted, BudgetExceeded
 # tables up to size 4 and ternary tables of size 2; unfiltered ternary
 # size 3 (27 cells) stays out of budget.
 MAX_FREE_CELLS = 16
-
-# Element-relabeling search bound for canonical forms (m! permutations).
-CANONICAL_PERM_MAX_SIZE = 6
 
 # Seeded sampling uses random.Random: the Mersenne Twister, stable for a
 # given 64-bit seed.  Recorded in corpus metadata for reproducibility.
@@ -56,6 +62,8 @@ class GenSpec:
             raise ValueError("size must be >= 1 and arity >= 2")
         if self.mode == "power" and self.arity < 3:
             raise ValueError("power mode derives arity >= 3 from binary tables")
+        if self.mode == "random" and self.count <= 0:
+            raise ValueError(f"random mode needs count >= 1, got {self.count}")
 
     def passes_filters(self, table: NaryTable) -> bool:
         if self.idempotent and not is_idempotent(table):
@@ -65,16 +73,7 @@ class GenSpec:
         return True
 
     def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "arity": self.arity,
-            "mode": self.mode,
-            "count": self.count,
-            "seed": self.seed,
-            "idempotent": self.idempotent,
-            "commutative": self.commutative,
-            "dedup": self.dedup,
-        }
+        return asdict(self)
 
 
 def _cell_units(
@@ -207,15 +206,6 @@ def _backtrack_tables(
     yield from rec(0)
 
 
-def derive_from_semigroup(binary: NaryTable, n: int) -> NaryTable:
-    """The n-ary table of n-fold products of a binary associative table."""
-    if binary.arity != 2:
-        raise ValueError("derive_from_semigroup needs a binary table")
-    if n < 3:
-        raise ValueError("target arity must be >= 3")
-    return derive_power_algebra(binary, n)
-
-
 def random_filtered(
     size: int,
     arity: int,
@@ -259,39 +249,13 @@ def random_filtered(
             yield table
 
 
-def canonical_form(table: NaryTable) -> NaryTable:
-    """Lexicographically minimal entry sequence over all element relabelings.
-
-    Isomorphic tables map to equal canonical forms; the map is idempotent.
-    """
-    m, n = table.size, table.arity
-    if m > CANONICAL_PERM_MAX_SIZE:
-        raise BudgetExceeded(
-            f"canonical form over {m}! relabelings exceeds the cap of "
-            f"{CANONICAL_PERM_MAX_SIZE}!"
-        )
-    tuples = list(itertools.product(range(m), repeat=n))
-    best: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(m)):
-        relabeled = [0] * len(table.entries)
-        for i, tup in enumerate(tuples):
-            j = 0
-            for a in tup:
-                j = j * m + perm[a]
-            relabeled[j] = perm[table.entries[i]]
-        candidate = tuple(relabeled)
-        if best is None or candidate < best:
-            best = candidate
-    return NaryTable(n, m, best)
-
-
 def enumerate_tables(spec: GenSpec) -> Iterator[NaryTable]:
     """Stream of associative tables matching the spec, deterministic order."""
     if spec.mode == "exhaustive":
         stream = _backtrack_tables(spec.size, spec.arity, spec.idempotent, spec.commutative)
     elif spec.mode == "power":
         stream = (
-            derive_from_semigroup(binary, spec.arity)
+            derive_power_algebra(binary, spec.arity)
             for binary in _backtrack_tables(spec.size, 2, False, False)
         )
         stream = (t for t in stream if spec.passes_filters(t))

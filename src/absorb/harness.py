@@ -13,31 +13,31 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
-from .core import (
+from .core import (  # table_digest is re-exported
     NaryTable,
     Subuniverse,
+    TableFacts,
     Word,
-    compute_exponent,
     enumerate_subuniverses,
     eval_word,
-    is_associative,
     is_closed,
+    table_digest,
+    table_facts,
 )
 from .criteria import (
     AbsorptionVerdict,
     CaseTag,
-    cond2_products,
+    FailedCondition,
     cond3_products,
     construct_witness,
     decide_theorem,
-    is_idempotent,
     verify_witness,
 )
-from .errors import PreconditionsUnmet
-from .generate import CANONICAL_PERM_MAX_SIZE, GENERATOR_NAME, GenSpec, canonical_form, enumerate_tables
+from .errors import NotAssociative, NotClosed, NotProperSubuniverse, PreconditionsUnmet
+from .generate import GENERATOR_NAME, GenSpec, enumerate_tables
 from .oracle import Agreement, OracleBounds, OracleOutcome, oracle_agrees, search_absorbing_term
 from .version import VERSION
 
@@ -62,18 +62,6 @@ _FACT_PATTERNS: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 
-def table_digest(table: NaryTable) -> str:
-    """Isomorphism-invariant id when the relabeling budget allows, else raw."""
-    if table.size <= CANONICAL_PERM_MAX_SIZE:
-        base = canonical_form(table)
-        prefix = "c"
-    else:
-        base = table
-        prefix = "r"
-    payload = f"{base.arity}:{base.size}:{','.join(map(str, base.entries))}"
-    return prefix + hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 @dataclass(frozen=True)
 class PairReport:
     """Everything both decision routes said about one (table, sub) pair."""
@@ -81,13 +69,22 @@ class PairReport:
     table: NaryTable
     sub: Subuniverse
     table_id: str
-    cond2: bool
     cond3: bool
-    exponent_k: int | None
     verdict: AbsorptionVerdict
     oracle: OracleOutcome
     agreement: Agreement
-    case: CaseTag
+
+    @property
+    def cond2(self) -> bool:
+        return self.verdict.failed_condition is not FailedCondition.PRODUCTS_ESCAPE_B
+
+    @property
+    def exponent_k(self) -> int | None:
+        return self.verdict.exponent_k
+
+    @property
+    def case(self) -> CaseTag:
+        return self.verdict.proof_status
 
     @property
     def sub_mask(self) -> int:
@@ -105,31 +102,37 @@ class PairReport:
             "cond2": self.cond2,
             "cond3": self.cond3,
             "exponent_k": self.exponent_k,
-            "verdict": {
-                "absorbs": self.verdict.absorbs,
-                "exponent_k": self.verdict.exponent_k,
-                "witness": _word_record(self.verdict.witness),
-                "failed_condition": (
-                    self.verdict.failed_condition.value
-                    if self.verdict.failed_condition
-                    else None
-                ),
-                "proof_status": self.verdict.proof_status.value,
-            },
-            "oracle": {
-                "found": self.oracle.found,
-                "witness": _word_record(self.oracle.witness),
-                "words_examined": self.oracle.words_examined,
-            },
+            "verdict": verdict_record(self.verdict),
+            "oracle": oracle_record(self.oracle),
             "agreement": self.agreement.value,
             "case": self.case.value,
         }
 
 
-def _word_record(word) -> dict | None:
+def word_record(word: Word | None) -> dict | None:
     if word is None:
         return None
     return {"num_vars": word.num_vars, "letters": list(word.letters), "display": str(word)}
+
+
+def verdict_record(verdict: AbsorptionVerdict) -> dict:
+    return {
+        "absorbs": verdict.absorbs,
+        "exponent_k": verdict.exponent_k,
+        "witness": word_record(verdict.witness),
+        "failed_condition": (
+            verdict.failed_condition.value if verdict.failed_condition else None
+        ),
+        "proof_status": verdict.proof_status.value,
+    }
+
+
+def oracle_record(outcome: OracleOutcome) -> dict:
+    return {
+        "found": outcome.found,
+        "witness": word_record(outcome.witness),
+        "words_examined": outcome.words_examined,
+    }
 
 
 @dataclass
@@ -153,23 +156,22 @@ class CorpusReport:
 
 
 def check_pair(
-    table: NaryTable, sub: Subuniverse, bounds: OracleBounds = OracleBounds()
+    table: NaryTable | TableFacts, sub: Subuniverse, bounds: OracleBounds = OracleBounds()
 ) -> PairReport:
     """Run both routes on one valid (associative, closed, proper) pair."""
-    verdict = decide_theorem(table, sub)
+    facts = table_facts(table)
+    table = facts.table
+    verdict = decide_theorem(facts, sub)
     outcome = search_absorbing_term(table, sub, bounds)
     agreement = oracle_agrees(table, sub, bounds, verdict, outcome=outcome)
     return PairReport(
         table=table,
         sub=sub,
-        table_id=table_digest(table),
-        cond2=cond2_products(table, sub),
+        table_id=facts.digest,
         cond3=cond3_products(table, sub),
-        exponent_k=compute_exponent(table),
         verdict=verdict,
         oracle=outcome,
         agreement=agreement,
-        case=verdict.proof_status,
     )
 
 
@@ -208,16 +210,17 @@ def is_conjecture_candidate(report: PairReport) -> bool:
 
 
 def _triple_check_candidate(report: PairReport) -> None:
-    """Re-verify witness, closure, and associativity before flagging."""
-    if not is_associative(report.table):
-        raise RuntimeError("candidate triple-check failed: table not associative")
+    """Re-verify closure and witness before flagging; associativity was
+    checked once for the whole table by table_facts."""
     if not is_closed(report.table, report.sub):
         raise RuntimeError("candidate triple-check failed: subset not closed")
     if not verify_witness(report.table, report.sub, report.oracle.witness):
         raise RuntimeError("candidate triple-check failed: witness does not verify")
 
 
-def derived_fact_probes(table: NaryTable, sub: Subuniverse) -> list[tuple[str, bool]]:
+def derived_fact_probes(
+    table: NaryTable | TableFacts, sub: Subuniverse
+) -> list[tuple[str, bool]]:
     """Membership facts the idempotent-ternary proof derives, each checked
     over all a in the carrier and b in the subset.
 
@@ -225,17 +228,17 @@ def derived_fact_probes(table: NaryTable, sub: Subuniverse) -> list[tuple[str, b
     subset, and an absorbing criterion verdict; under those, every fact
     must hold.
     """
+    try:
+        facts = table_facts(table)
+        absorbs = decide_theorem(facts, sub).absorbs
+    except (NotAssociative, NotClosed, NotProperSubuniverse, ValueError) as exc:
+        raise PreconditionsUnmet(f"probes need a valid criterion input: {exc}") from exc
+    table = facts.table
     if table.arity != 3:
         raise PreconditionsUnmet("probes need a ternary table")
-    if not is_associative(table):
-        raise PreconditionsUnmet("probes need an associative table")
-    if not is_idempotent(table):
+    if not facts.idempotent:
         raise PreconditionsUnmet("probes need an idempotent table")
-    if sub.carrier_size != table.size or not is_closed(table, sub):
-        raise PreconditionsUnmet("probes need a closed subuniverse")
-    if not sub.is_proper():
-        raise PreconditionsUnmet("probes need a proper subuniverse")
-    if not decide_theorem(table, sub).absorbs:
+    if not absorbs:
         raise PreconditionsUnmet("probes apply only to absorbing pairs")
 
     members = sub.members
@@ -255,25 +258,16 @@ def _dump(record: dict) -> bytes:
     return json.dumps(record, sort_keys=True, separators=(",", ":")).encode() + b"\n"
 
 
-def _bounds_echo(bounds: OracleBounds) -> dict:
-    return {
-        "max_vars": bounds.max_vars,
-        "max_len": bounds.max_len,
-        "allow_trivial": bounds.allow_trivial,
-    }
-
-
 def _header_record(source_echo: dict, bounds: OracleBounds, meta: dict | None) -> dict:
     return {
         "type": "header",
         "format": REPORT_FORMAT,
         "version": VERSION,
         "source": source_echo,
-        "bounds": _bounds_echo(bounds),
+        "bounds": asdict(bounds),
         "defaults": {
-            "max_vars": 3,
-            "max_len": "max(9,k)",
-            "allow_trivial": False,
+            **asdict(OracleBounds()),
+            "max_len": OracleBounds.DEFAULT_MAX_LEN_TEXT,
             "proper_only": True,
             "generator": GENERATOR_NAME,
         },
@@ -389,8 +383,9 @@ def run_corpus(
         for index, table in enumerate(tables):
             if index < skip_tables:
                 continue
+            facts = table_facts(table)
             for sub in enumerate_subuniverses(table, proper_only=True):
-                report = check_pair(table, sub, bounds)
+                report = check_pair(facts, sub, bounds)
                 violations = proved_violations(report)
                 candidate = is_conjecture_candidate(report)
                 if candidate:
@@ -425,7 +420,7 @@ def run_corpus(
 
     return CorpusReport(
         source=source_echo,
-        bounds=_bounds_echo(bounds),
+        bounds=asdict(bounds),
         tables=tally.tables,
         pairs=tally.pairs,
         agreements=tally.agreements,

@@ -10,14 +10,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 from .core import (
     NaryTable,
     Subuniverse,
     Word,
     compute_exponent,
-    element_power,
     is_closed,
     length_evaluable,
 )
@@ -36,6 +35,8 @@ class OracleBounds:
     max_vars: int = 3
     max_len: int | None = None
     allow_trivial: bool = False
+
+    DEFAULT_MAX_LEN_TEXT: ClassVar[str] = "max(9,k)"  # what max_len=None resolves to
 
     def __post_init__(self) -> None:
         if self.max_vars < 1:
@@ -87,6 +88,11 @@ def _canonical_letter_seqs(length: int, max_vars: int) -> Iterator[tuple[int, ..
     yield from rec(0, 0)
 
 
+def powers_fix_all(q: int, k: int | None) -> bool:
+    """a^q = a for every element of a table whose exponent is k (None if none)."""
+    return q == 1 or (k is not None and (q - 1) % (k - 1) == 0)
+
+
 def search_absorbing_term(
     table: NaryTable,
     sub: Subuniverse,
@@ -108,15 +114,15 @@ def search_absorbing_term(
     if not is_closed(table, sub):
         raise NotClosed(f"subset {sub.elements} is not closed")
     n = table.arity
-    m = table.size
-    max_len = bounds.resolved_max_len(compute_exponent(table))
+    k = compute_exponent(table)
+    max_len = bounds.resolved_max_len(k)
     min_len = 1 if bounds.allow_trivial else 2
     examined = 0
     for q in range(min_len, max_len + 1):
         if not length_evaluable(q, n):
             continue
         if prune:
-            if not all(element_power(table, a, q) == a for a in range(m)):
+            if not powers_fix_all(q, k):
                 continue
             for letters in _canonical_letter_seqs(q, bounds.max_vars):
                 examined += 1

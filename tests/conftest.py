@@ -8,7 +8,7 @@ from absorb import (
     Subuniverse,
     check_pair,
     compute_exponent,
-    derive_from_semigroup,
+    derive_power_algebra,
     enumerate_subuniverses,
     enumerate_tables,
     is_commutative,
@@ -100,12 +100,12 @@ def checked_ternary2(ternary2):
 @pytest.fixture(scope="session")
 def proved_corpora(binary2, binary3):
     """Proved-case n-ary corpora: commutative (n=3,4) and idempotent ternary."""
-    comm3 = [derive_from_semigroup(b, 3) for b in binary3 if is_commutative(b)]
+    comm3 = [derive_power_algebra(b, 3) for b in binary3 if is_commutative(b)]
     comm3 += list(random_filtered(3, 3, 200, SEED_COMM3, commutative=True))
-    comm4 = [derive_from_semigroup(b, 4) for b in binary2 if is_commutative(b)]
-    comm4 += [derive_from_semigroup(b, 4) for b in binary3 if is_commutative(b)]
+    comm4 = [derive_power_algebra(b, 4) for b in binary2 if is_commutative(b)]
+    comm4 += [derive_power_algebra(b, 4) for b in binary3 if is_commutative(b)]
     comm4 += list(random_filtered(2, 4, 200, SEED_COMM4, commutative=True))
-    idem3 = [derive_from_semigroup(b, 3) for b in binary3 if is_idempotent(b)]
+    idem3 = [derive_power_algebra(b, 3) for b in binary3 if is_idempotent(b)]
     idem3 += list(
         random_filtered(3, 3, 200, SEED_IDEM3, idempotent=True, commutative=True)
     )

@@ -12,8 +12,8 @@ from absorb.fileio import (
     save_subuniverse,
     write_corpus_dir,
 )
-from absorb import GenSpec, NaryTable, Subuniverse
-from conftest import MIN2, TZ2, Z2
+from absorb import GenSpec, NaryTable, Subuniverse, check_pair
+from conftest import MIN2, SUB0, TZ2, Z2
 
 
 @pytest.fixture
@@ -76,6 +76,13 @@ class TestCheck:
         assert doc["theorem"]["absorbs"] is True
         assert doc["oracle"]["found"] is True
         assert doc["agreement"] == "Agree"
+
+    def test_records_match_check_pair(self, capsys, files):
+        for name, table in (("min", MIN2), ("z2", Z2)):
+            _code, doc = run(capsys, ["check", "--algebra", files[name], "--sub", files["sub0"]])
+            record = check_pair(table, SUB0).to_record()
+            assert doc["theorem"] == record["verdict"]
+            assert doc["oracle"] == record["oracle"]
 
     def test_theorem_only(self, capsys, files):
         code, doc = run(

@@ -7,10 +7,12 @@ from absorb import (
     GenSpec,
     LengthNotEvaluable,
     NaryTable,
+    NotAssociative,
     Subuniverse,
+    TableFacts,
     Word,
     compute_exponent,
-    derive_from_semigroup,
+    derive_power_algebra,
     element_power,
     enumerate_subuniverses,
     enumerate_tables,
@@ -18,6 +20,8 @@ from absorb import (
     is_associative,
     is_closed,
     power_profile,
+    table_digest,
+    table_facts,
 )
 from conftest import MIN2, MIN3, NULL2, TMIN2, TZ2, Z2, Z3
 
@@ -65,6 +69,10 @@ class TestNaryTable:
         with pytest.raises(ValueError):
             NaryTable(2, 0, ())
 
+    def test_bool_entries_rejected(self):
+        with pytest.raises(ValueError):
+            NaryTable(2, 2, (True, False, False, True))
+
     def test_row_major_layout(self):
         t = NaryTable(2, 3, tuple((a * 3 + b) % 3 for a in range(3) for b in range(3)))
         assert t.apply(2, 1) == (2 * 3 + 1) % 3
@@ -78,6 +86,10 @@ class TestSubuniverse:
     def test_members_in_range(self):
         with pytest.raises(ValueError):
             Subuniverse(2, frozenset({2}))
+
+    def test_bool_members_rejected(self):
+        with pytest.raises(ValueError):
+            Subuniverse(2, frozenset({True}))
 
     def test_mask_roundtrip(self):
         sub = Subuniverse.from_mask(4, 0b1010)
@@ -265,4 +277,24 @@ class TestEnumerateSubuniverses:
 def test_nfold_composition_is_associative():
     for binary in ASSOC_BINARY2:
         for n in (3, 4):
-            assert is_associative(derive_from_semigroup(binary, n))
+            assert is_associative(derive_power_algebra(binary, n))
+
+
+class TestTableFacts:
+    def test_facts_of_ternary_sum(self):
+        facts = table_facts(TZ2)
+        assert facts == TableFacts(
+            table=TZ2,
+            exponent_k=3,
+            commutative=True,
+            idempotent=True,
+            digest=table_digest(TZ2),
+        )
+
+    def test_facts_pass_through_unchanged(self):
+        facts = table_facts(MIN2)
+        assert table_facts(facts) is facts
+
+    def test_rejects_nonassociative_table(self):
+        with pytest.raises(NotAssociative):
+            table_facts(NaryTable(2, 2, (0, 1, 0, 0)))

@@ -17,7 +17,6 @@ from absorb import (
     cond3_products,
     construct_witness,
     decide_theorem,
-    derive_from_semigroup,
     derive_power_algebra,
     detect_case,
     enumerate_pairs,
@@ -43,7 +42,7 @@ from test_core import ASSOC_SMALL
 # commutative nor idempotent: (i, j) . (i', j') = (i, 0) on {0,1}x{0,1},
 # encoded as index 2i + j.
 PROJ_KILL = NaryTable.from_function(2, 4, lambda x, y: (x // 2) * 2)
-PROJ_KILL_T = derive_from_semigroup(PROJ_KILL, 3)
+PROJ_KILL_T = derive_power_algebra(PROJ_KILL, 3)
 PROJ_KILL_SUB = Subuniverse(4, frozenset({0, 2}))
 
 
@@ -160,13 +159,13 @@ class TestDetectCase:
 
     def test_coatom_before_idempotent(self):
         # non-commutative band: left-zero derived, coatom subset
-        lz3 = derive_from_semigroup(LEFT_ZERO, 3)
+        lz3 = derive_power_algebra(LEFT_ZERO, 3)
         assert detect_case(lz3, SUB0) is CaseTag.THEOREM_COATOM
 
     def test_idempotent_ternary(self):
         # glue two left-zero elements onto a chain to dodge coatom: use a
         # 3-element left-zero band with a singleton subset instead
-        lz3 = derive_from_semigroup(NaryTable.from_function(2, 3, lambda a, b: a), 3)
+        lz3 = derive_power_algebra(NaryTable.from_function(2, 3, lambda a, b: a), 3)
         assert detect_case(lz3, SUB0_OF3) is CaseTag.THEOREM_IDEMPOTENT_TERNARY
 
     def test_conjectural_needs_size4(self):

@@ -8,7 +8,7 @@ from absorb import (
     GenSpec,
     NaryTable,
     canonical_form,
-    derive_from_semigroup,
+    derive_power_algebra,
     enumerate_pairs,
     enumerate_tables,
     is_associative,
@@ -92,15 +92,15 @@ class TestPowerMode:
 
 class TestDeriveFromSemigroup:
     def test_z2_gives_ternary_sum(self):
-        assert derive_from_semigroup(Z2, 3).entries == TZ2.entries
+        assert derive_power_algebra(Z2, 3).entries == TZ2.entries
 
     def test_min_gives_ternary_min(self):
-        d = derive_from_semigroup(MIN2, 3)
+        d = derive_power_algebra(MIN2, 3)
         for tup in itertools.product(range(2), repeat=3):
             assert d.apply(*tup) == min(tup)
 
     def test_left_zero_gives_first_projection(self):
-        d = derive_from_semigroup(LEFT_ZERO, 3)
+        d = derive_power_algebra(LEFT_ZERO, 3)
         for tup in itertools.product(range(2), repeat=3):
             assert d.apply(*tup) == tup[0]
 
@@ -117,6 +117,11 @@ class TestRandomFiltered:
         sample = list(random_filtered(2, 2, 5, 7))
         assert len(sample) == 5
         assert all(t.entries in exhaustive for t in sample)
+
+    def test_genspec_random_needs_positive_count(self):
+        for count in (0, -1):
+            with pytest.raises(ValueError):
+                GenSpec(2, 2, mode="random", count=count)
 
     def test_count_zero_is_empty(self):
         assert list(random_filtered(2, 2, 0, 3)) == []

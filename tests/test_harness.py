@@ -1,7 +1,10 @@
+import hashlib
 import json
+import sys
 
 import pytest
 
+import absorb.core
 from absorb import (
     Agreement,
     CaseTag,
@@ -11,7 +14,7 @@ from absorb import (
     PreconditionsUnmet,
     Subuniverse,
     check_pair,
-    derive_from_semigroup,
+    derive_power_algebra,
     derived_fact_probes,
     enumerate_pairs,
     run_corpus,
@@ -24,10 +27,48 @@ from test_criteria import PROJ_KILL_T
 
 FACT_NAMES = ["abbab", "babba", "aab", "baa", "aabaa", "bab", "abb", "bba"]
 
+# sha256 of each OracleBounds() report with its header line dropped, since
+# the header carries the package version.
+REPORT_BODY_SHA256 = {
+    (2, 2): "be644e0902e943d723db4cc9f95d796427dae3cb94a67fd0812513a3301801f7",
+    (3, 2): "014d63e2b975bf4630d53ca33f415bf0c1e8f2fa8d7066d61571809645c5274a",
+    (2, 3): "474a2f5bf1e3829994a7ead3afeba04b867f28f909cd050fb68b89d86f557a80",
+}
+
+TABLE_FACT_FUNCTIONS = ("is_associative", "table_digest", "is_commutative", "is_idempotent")
+
 
 def read_report(path):
     with open(path, "rb") as f:
         return [json.loads(line) for line in f]
+
+
+@pytest.fixture(scope="module")
+def counted_binary3_run(tmp_path_factory):
+    """run_corpus over GenSpec(3, 2) with each table-fact function counted
+    at every absorb module that binds it; returns (report, bytes, counts)."""
+    counts = dict.fromkeys(TABLE_FACT_FUNCTIONS, 0)
+    patched = []
+    for name in TABLE_FACT_FUNCTIONS:
+        original = getattr(absorb.core, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").split(".")[0] != "absorb":
+                continue
+            if vars(module).get(name) is original:
+                setattr(module, name, counting)
+                patched.append((module, name, original))
+    path = tmp_path_factory.mktemp("binary3") / "report.jsonl"
+    try:
+        report = run_corpus(GenSpec(3, 2), OracleBounds(), str(path))
+    finally:
+        for module, name, original in patched:
+            setattr(module, name, original)
+    return report, path.read_bytes(), counts
 
 
 class TestCheckPair:
@@ -93,7 +134,7 @@ class TestDerivedFactProbes:
     def test_noncommutative_band_pair_all_hold(self):
         # left-zero on {1,2} with a zero element adjoined: {0} absorbs
         band = NaryTable.from_function(2, 3, lambda a, b: a if a and b else 0)
-        derived = derive_from_semigroup(band, 3)
+        derived = derive_power_algebra(band, 3)
         sub = Subuniverse(3, frozenset({0}))
         probes = derived_fact_probes(derived, sub)
         assert all(holds for _, holds in probes)
@@ -174,3 +215,27 @@ class TestRunCorpus:
         assert ckpt.exists()
         with pytest.raises(ValueError):
             run_corpus(GenSpec(2, 2), OracleBounds(max_vars=2), str(out), resume=str(ckpt))
+
+
+class TestReportPins:
+    def test_report_bytes_pinned(self, tmp_path, counted_binary3_run):
+        reports = {(3, 2): counted_binary3_run[1]}
+        for size, arity in ((2, 2), (2, 3)):
+            path = tmp_path / f"report_{size}_{arity}.jsonl"
+            run_corpus(GenSpec(size, arity), OracleBounds(), str(path))
+            reports[(size, arity)] = path.read_bytes()
+        for key, data in reports.items():
+            header, body = data.split(b"\n", 1)
+            assert json.loads(header)["defaults"] == {
+                "max_vars": 3,
+                "max_len": "max(9,k)",
+                "allow_trivial": False,
+                "proper_only": True,
+                "generator": "mt19937",
+            }
+            assert hashlib.sha256(body).hexdigest() == REPORT_BODY_SHA256[key], key
+
+    def test_table_facts_computed_once_per_table(self, counted_binary3_run):
+        report, _data, counts = counted_binary3_run
+        assert (report.tables, report.pairs) == (113, 465)
+        assert counts == dict.fromkeys(TABLE_FACT_FUNCTIONS, 113)

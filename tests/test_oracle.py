@@ -3,17 +3,23 @@ from hypothesis import given, strategies as st
 
 from absorb import (
     Agreement,
+    GenSpec,
     NotClosed,
     NotProperSubuniverse,
     OracleBounds,
     Subuniverse,
     Word,
+    compute_exponent,
     decide_theorem,
+    element_power,
     enumerate_pairs,
+    enumerate_tables,
     oracle_agrees,
     search_absorbing_term,
     verify_witness,
 )
+from absorb.core import length_evaluable
+from absorb.oracle import powers_fix_all
 from conftest import LEFT_ZERO, MIN2, SUB0, Z2
 from test_core import ASSOC_SMALL
 from test_criteria import PROJ_KILL_SUB, PROJ_KILL_T
@@ -72,6 +78,22 @@ class TestSearch:
         large = OracleBounds(max_vars=3, max_len=7)
         if search_absorbing_term(table, sub, small).found:
             assert search_absorbing_term(table, sub, large).found
+
+    def test_length_prune_matches_element_powers(self):
+        # element_power is the reference for prune (c): a^q = a for all a
+        tables = (
+            list(enumerate_tables(GenSpec(3, 2)))
+            + list(enumerate_tables(GenSpec(3, 3, mode="power")))
+            + list(enumerate_tables(GenSpec(2, 4, mode="power")))
+        )
+        assert len(tables) == 234
+        for table in tables:
+            k = compute_exponent(table)
+            for q in range(1, 40):
+                if not length_evaluable(q, table.arity):
+                    continue
+                expected = all(element_power(table, a, q) == a for a in range(table.size))
+                assert powers_fix_all(q, k) == expected, (table, q)
 
     def test_pruning_never_changes_classification(self):
         # unpruned scans every sequence over max_vars declared variables
