@@ -244,19 +244,26 @@ def compute_exponent(table: NaryTable) -> int | None:
 def is_associative(table: NaryTable) -> bool:
     """All n bracketings of every (2n-1)-tuple agree.
 
-    Adjacent bracket positions suffice: equality of neighbors chains across
-    all positions, so we compare each position's value to the previous one.
+    Bracketing p multiplies letters p..p+n-1 first.  Its values over all
+    tuples in lexicographic order are built by index arithmetic on the
+    entries: for each prefix of p letters and each inner n-tuple, the inner
+    value selects a contiguous row of the outer product.  Adjacent bracket
+    positions suffice: equality of neighbouring value vectors chains across
+    all positions.
     """
-    n = table.arity
-    m = table.size
-    for tup in itertools.product(range(m), repeat=2 * n - 1):
-        prev = None
-        for p in range(n):
-            inner = table.apply(*tup[p : p + n])
-            value = table.apply(*tup[:p], inner, *tup[p + n :])
-            if prev is not None and value != prev:
-                return False
-            prev = value
+    n, m, entries = table.arity, table.size, table.entries
+    previous = None
+    for p in range(n):
+        width = m ** (n - 1 - p)  # outer products sharing their first p+1 arguments
+        rows = [entries[r * width : (r + 1) * width] for r in range(m ** (p + 1))]
+        values = list(
+            itertools.chain.from_iterable(
+                rows[prefix + inner] for prefix in range(0, len(rows), m) for inner in entries
+            )
+        )
+        if previous is not None and values != previous:
+            return False
+        previous = values
     return True
 
 

@@ -182,14 +182,20 @@ def proved_violations(report: PairReport) -> list[str]:
     proved-case disagreement flavors.
     """
     table, sub = report.table, report.sub
+    verified: dict[Word, bool] = {}  # an absorbing verdict carries the constructed witness
+
+    def rejected(word: Word) -> bool:
+        if word not in verified:
+            verified[word] = verify_witness(table, sub, word)
+        return not verified[word]
+
     msgs = []
     if report.cond2 and report.exponent_k is not None and not report.cond3:
         msgs.append("cond2 with exponent but cond3 fails")
     if report.cond3 and report.exponent_k is not None:
-        witness = construct_witness(table, sub, report.exponent_k)
-        if not verify_witness(table, sub, witness):
+        if rejected(construct_witness(table, sub, report.exponent_k)):
             msgs.append("cond3 with exponent but constructed witness rejected")
-    if report.verdict.absorbs and not verify_witness(table, sub, report.verdict.witness):
+    if report.verdict.absorbs and rejected(report.verdict.witness):
         msgs.append("absorbing verdict carries a rejected witness")
     if report.agreement is Agreement.DISAGREE:
         if report.verdict.absorbs:

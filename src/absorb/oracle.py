@@ -20,7 +20,7 @@ from .core import (
     is_closed,
     length_evaluable,
 )
-from .criteria import AbsorptionVerdict, absorption_conditions_hold, verify_witness
+from .criteria import AbsorptionVerdict, verify_witness
 from .errors import NotClosed, NotProperSubuniverse
 
 
@@ -69,28 +69,130 @@ class Agreement(str, Enum):
     UNRESOLVED = "Unresolved"
 
 
-def _canonical_letter_seqs(length: int, max_vars: int) -> Iterator[tuple[int, ...]]:
-    """Restricted-growth sequences in lexicographic order.
-
-    First occurrences appear in increasing variable order and every declared
-    variable occurs, so each word pattern is enumerated exactly once.
-    """
-    seq = [0] * length
-
-    def rec(pos: int, used: int) -> Iterator[tuple[int, ...]]:
-        if pos == length:
-            yield tuple(seq)
-            return
-        for v in range(min(used + 1, max_vars)):
-            seq[pos] = v
-            yield from rec(pos + 1, max(used, v + 1))
-
-    yield from rec(0, 0)
-
-
 def powers_fix_all(q: int, k: int | None) -> bool:
     """a^q = a for every element of a table whose exponent is k (None if none)."""
     return q == 1 or (k is not None and (q - 1) % (k - 1) == 0)
+
+
+class _Chunk:
+    """n-1 letters that extend a word, the number of variables used after
+    them, and their flat-index offsets over D (built on the first visit)."""
+
+    __slots__ = ("letters", "used_after", "offset")
+
+    def __init__(self, letters: tuple[int, ...], used_after: int) -> None:
+        self.letters = letters
+        self.used_after = used_after
+        self.offset: list[int] | None = None
+
+
+class _WordWalk:
+    """Value vectors of one pair's canonical words over the domain D (see
+    search_absorbing_term): a word absorbs iff none of its values leaves B.
+
+    The words of one length are walked depth-first in (restricted-growth)
+    lexicographic order, n-1 letters per step, carrying the vector of
+    left-greedy partial products, so each prefix is evaluated once for all
+    the words that extend it.
+    """
+
+    def __init__(self, table: NaryTable, sub: Subuniverse, max_vars: int) -> None:
+        outside = [a for a in range(table.size) if a not in sub.members]
+        self._domain = [
+            rest[:i] + (a,) + rest[i:]
+            for i in range(max_vars)
+            for rest in itertools.product(sub.elements, repeat=max_vars - 1)
+            for a in outside
+        ]
+        self._max_vars = max_vars
+        self._width = table.arity - 1
+        self._size = table.size
+        self._stride = table.size**self._width
+        self._entries = table.entries
+        self._lands_inside = [e in sub.members for e in table.entries]
+        self._chunk_lists: dict[int, list[_Chunk]] = {}
+
+    def _chunks(self, used: int) -> list[_Chunk]:
+        """Every restricted-growth run of n-1 letters after `used` variables,
+        in lexicographic order."""
+        chunks = self._chunk_lists.get(used)
+        if chunks is None:
+            runs = [((), used)]
+            for _ in range(self._width):
+                runs = [
+                    (letters + (v,), max(u, v + 1))
+                    for letters, u in runs
+                    for v in range(min(u + 1, self._max_vars))
+                ]
+            chunks = self._chunk_lists[used] = [_Chunk(*run) for run in runs]
+        return chunks
+
+    def _offset(self, chunk: _Chunk) -> list[int]:
+        offset = chunk.offset
+        if offset is None:
+            m = self._size
+            offset = chunk.offset = []
+            for assignment in self._domain:
+                o = 0
+                for letter in chunk.letters:
+                    o = o * m + assignment[letter]
+                offset.append(o)
+        return offset
+
+    def _leaf_parents(self, q: int) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
+        """(prefix, vector, variables used) of every length-q word (q > 1)
+        without its last n-1 letters."""
+        entries, stride = self._entries, self._stride
+
+        def descend(prefix, vector, used, steps):
+            if steps == 1:
+                yield prefix, vector, used
+                return
+            for chunk in self._chunks(used):
+                stepped = [entries[a * stride + o] for a, o in zip(vector, self._offset(chunk))]
+                yield from descend(prefix + chunk.letters, stepped, chunk.used_after, steps - 1)
+
+        first = [assignment[0] for assignment in self._domain]
+        return descend((0,), first, 1, (q - 1) // self._width)
+
+    def _first_absorbing_leaf(self, vector: list[int], chunks: list[_Chunk]) -> int:
+        """Index of the first chunk that completes the vector's word into an
+        absorbing one, or len(chunks); stops at the first escaping entry."""
+        inside = self._lands_inside
+        bases = [a * self._stride for a in vector]
+        for i, chunk in enumerate(chunks):
+            offset = chunk.offset  # read directly: this loop runs once per word
+            if offset is None:
+                offset = self._offset(chunk)
+            for b, o in zip(bases, offset):
+                if not inside[b + o]:
+                    break
+            else:
+                return i
+        return len(chunks)
+
+    def first_absorbing(self, q: int) -> tuple[tuple[int, ...] | None, int]:
+        """First absorbing word of length q (None if none) and the number of
+        words examined up to it."""
+        if q == 1:  # x passes the coordinate outside B through unchanged
+            return None, 1
+        examined = 0
+        for prefix, vector, used in self._leaf_parents(q):
+            chunks = self._chunks(used)
+            i = self._first_absorbing_leaf(vector, chunks)
+            if i < len(chunks):
+                return prefix + chunks[i].letters, examined + i + 1
+            examined += len(chunks)
+        return None, examined
+
+    def _verdicts(self, q: int) -> Iterator[tuple[tuple[int, ...], bool]]:
+        """(letters, absorbs) for every word of length q, in walk order."""
+        if q == 1:
+            yield (0,), False
+            return
+        for prefix, vector, used in self._leaf_parents(q):
+            for chunk in self._chunks(used):
+                yield prefix + chunk.letters, self._first_absorbing_leaf(vector, [chunk]) == 0
 
 
 def search_absorbing_term(
@@ -105,9 +207,17 @@ def search_absorbing_term(
     with unused declared variables are left to lower variable counts,
     (b) variables are named canonically by first occurrence, (c) a length q
     is skipped outright unless a^q = a for every element, which is exactly
-    the idempotence of every length-q word.  prune=False scans the raw
-    space (all sequences over max_vars declared variables) and checks each
-    word in full.
+    the idempotence of every length-q word.
+
+    The pruned scan is vectorised per pair.  Each word is evaluated at once
+    over the domain D of assignments of the max_vars variables with exactly
+    one variable outside B, and absorbs iff no value leaves B.  D is exact:
+    an all-inside assignment cannot escape the closed B, and a variable the
+    word does not use ranges over the nonempty B and changes nothing.  Words
+    of one length share the value vector of their common prefix, and every
+    hit is re-verified with verify_witness.  prune=False scans the raw space
+    (all sequences over max_vars declared variables) and checks each word in
+    full with verify_witness, the independent cross-check of the pruned scan.
     """
     if not sub.is_proper():
         raise NotProperSubuniverse("oracle requires a proper subuniverse")
@@ -117,6 +227,7 @@ def search_absorbing_term(
     k = compute_exponent(table)
     max_len = bounds.resolved_max_len(k)
     min_len = 1 if bounds.allow_trivial else 2
+    walk = None  # built for the first length the prunes leave
     examined = 0
     for q in range(min_len, max_len + 1):
         if not length_evaluable(q, n):
@@ -124,14 +235,15 @@ def search_absorbing_term(
         if prune:
             if not powers_fix_all(q, k):
                 continue
-            for letters in _canonical_letter_seqs(q, bounds.max_vars):
-                examined += 1
-                num_vars = max(letters) + 1
-                if absorption_conditions_hold(table, sub, letters, num_vars):
-                    word = Word(num_vars, letters)
-                    if not verify_witness(table, sub, word):
-                        raise RuntimeError(f"oracle hit {word} failed re-verification")
-                    return OracleOutcome(witness=word, words_examined=examined)
+            if walk is None:
+                walk = _WordWalk(table, sub, bounds.max_vars)
+            letters, count = walk.first_absorbing(q)
+            examined += count
+            if letters is not None:
+                word = Word(max(letters) + 1, letters)
+                if not verify_witness(table, sub, word):
+                    raise RuntimeError(f"oracle hit {word} failed re-verification")
+                return OracleOutcome(witness=word, words_examined=examined)
         else:
             for letters in itertools.product(range(bounds.max_vars), repeat=q):
                 examined += 1

@@ -131,6 +131,40 @@ class TestIsAssociative:
             t = NaryTable(2, 2, entries)
             assert is_associative(t) == naive_associative(t)
 
+    def test_matches_naive_on_all_binary_size3(self):
+        verdicts = []
+        for entries in itertools.product(range(3), repeat=9):
+            t = NaryTable(2, 3, entries)
+            verdicts.append(is_associative(t))
+            assert verdicts[-1] == naive_associative(t), entries
+        assert sum(verdicts) == 113  # OEIS A023814
+
+    def test_matches_naive_on_derived_power_algebras(self, binary3):
+        # Each derived table is associative by construction; one changed
+        # entry may break that or not.  At arity 5 the changed entries
+        # include some (such as 1 and 234) that only the later bracketings
+        # expose.  The naive check takes ~20 s on an associative 7-ary table
+        # of size 3, so at arity 7 it runs on the changes it refutes early,
+        # and on the 7-ary table of size 2.
+        def changed(table, i):
+            entries = list(table.entries)
+            entries[i] = (entries[i] + 1) % table.size
+            return NaryTable(table.arity, table.size, entries)
+
+        bases = binary3[::25]
+        for base in bases:
+            derived = derive_power_algebra(base, 5)
+            assert is_associative(derived) and naive_associative(derived)
+            for i in (0, 1, 121, 234):
+                assert is_associative(changed(derived, i)) == naive_associative(changed(derived, i))
+        seven_ary = [derive_power_algebra(base, 7) for base in bases]
+        assert all(is_associative(t) for t in seven_ary)
+        for b, i in ((0, 0), (1, 0), (2, 1093), (3, 0), (3, 1093), (4, 0)):
+            assert not is_associative(changed(seven_ary[b], i))
+            assert not naive_associative(changed(seven_ary[b], i))
+        seven_ary_size2 = derive_power_algebra(Z2, 7)
+        assert is_associative(seven_ary_size2) and naive_associative(seven_ary_size2)
+
 
 class TestEvalWord:
     def test_ternary_min_word(self):

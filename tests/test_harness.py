@@ -28,11 +28,13 @@ from test_criteria import PROJ_KILL_T
 FACT_NAMES = ["abbab", "babba", "aab", "baa", "aabaa", "bab", "abb", "bba"]
 
 # sha256 of each OracleBounds() report with its header line dropped, since
-# the header carries the package version.
+# the header carries the package version.  The ternary power corpus is the
+# one whose oracle scans three variables up to length 9.
 REPORT_BODY_SHA256 = {
-    (2, 2): "be644e0902e943d723db4cc9f95d796427dae3cb94a67fd0812513a3301801f7",
-    (3, 2): "014d63e2b975bf4630d53ca33f415bf0c1e8f2fa8d7066d61571809645c5274a",
-    (2, 3): "474a2f5bf1e3829994a7ead3afeba04b867f28f909cd050fb68b89d86f557a80",
+    GenSpec(2, 2): "be644e0902e943d723db4cc9f95d796427dae3cb94a67fd0812513a3301801f7",
+    GenSpec(3, 2): "014d63e2b975bf4630d53ca33f415bf0c1e8f2fa8d7066d61571809645c5274a",
+    GenSpec(2, 3): "474a2f5bf1e3829994a7ead3afeba04b867f28f909cd050fb68b89d86f557a80",
+    GenSpec(3, 3, mode="power"): "087f9be34e51c09430b8bf6d8febc60ea76f3e79110ad3980ae4d578a356345b",
 }
 
 TABLE_FACT_FUNCTIONS = ("is_associative", "table_digest", "is_commutative", "is_idempotent")
@@ -103,6 +105,22 @@ class TestCheckPair:
         assert record["sub"] == [0]
         assert record["verdict"]["witness"]["display"] == "xy"
         json.dumps(record)  # serializable
+
+    def test_absorbing_witness_verified_once(self, monkeypatch):
+        import absorb.harness as harness
+
+        report = check_pair(MIN2, SUB0, OracleBounds())
+        assert report.verdict.absorbs and report.cond3
+        calls = []
+        real = harness.verify_witness
+
+        def counting(table, sub, word):
+            calls.append(word)
+            return real(table, sub, word)
+
+        monkeypatch.setattr(harness, "verify_witness", counting)
+        assert proved_violations(report) == []
+        assert calls == [report.verdict.witness]
 
     def test_no_proved_violations_on_small_corpus(self):
         for table, sub in enumerate_pairs(ASSOC_SMALL):
@@ -219,11 +237,16 @@ class TestRunCorpus:
 
 class TestReportPins:
     def test_report_bytes_pinned(self, tmp_path, counted_binary3_run):
-        reports = {(3, 2): counted_binary3_run[1]}
-        for size, arity in ((2, 2), (2, 3)):
-            path = tmp_path / f"report_{size}_{arity}.jsonl"
-            run_corpus(GenSpec(size, arity), OracleBounds(), str(path))
-            reports[(size, arity)] = path.read_bytes()
+        reports = {GenSpec(3, 2): counted_binary3_run[1]}
+        for i, spec in enumerate(REPORT_BODY_SHA256):
+            if spec not in reports:
+                path = tmp_path / f"report_{i}.jsonl"
+                run_corpus(spec, OracleBounds(), str(path))
+                reports[spec] = path.read_bytes()
+        power = [json.loads(line) for line in reports[GenSpec(3, 3, mode="power")].splitlines()]
+        pairs = [r for r in power if r["type"] == "pair"]
+        assert sum(r["oracle"]["words_examined"] for r in pairs) == 754_377
+        assert sum(r["oracle"]["found"] for r in pairs) == 57
         for key, data in reports.items():
             header, body = data.split(b"\n", 1)
             assert json.loads(header)["defaults"] == {

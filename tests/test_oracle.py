@@ -19,12 +19,54 @@ from absorb import (
     verify_witness,
 )
 from absorb.core import length_evaluable
-from absorb.oracle import powers_fix_all
+from absorb.criteria import absorption_conditions_hold
+from absorb.oracle import _WordWalk, powers_fix_all
 from conftest import LEFT_ZERO, MIN2, SUB0, Z2
 from test_core import ASSOC_SMALL
 from test_criteria import PROJ_KILL_SUB, PROJ_KILL_T
 
 SMALL_PAIRS = list(enumerate_pairs(ASSOC_SMALL))
+
+# Binary sizes 2-3, ternary size 2 and a slice of the ternary power tables of size 3.
+KERNEL_PAIRS = list(
+    enumerate_pairs(
+        list(enumerate_tables(GenSpec(2, 2)))
+        + list(enumerate_tables(GenSpec(3, 2)))
+        + list(enumerate_tables(GenSpec(2, 3)))
+        + list(enumerate_tables(GenSpec(3, 3, mode="power")))[::8]
+    )
+)
+
+
+def canonical_letter_seqs(length, max_vars):
+    """Restricted-growth sequences in lexicographic order: the word order the
+    walk must keep, enumerated one word at a time."""
+    seq = [0] * length
+
+    def rec(pos, used):
+        if pos == length:
+            yield tuple(seq)
+            return
+        for v in range(min(used + 1, max_vars)):
+            seq[pos] = v
+            yield from rec(pos + 1, max(used, v + 1))
+
+    yield from rec(0, 0)
+
+
+def reference_search(table, sub, bounds):
+    """The pruned scan word by word with absorption_conditions_hold, as it
+    was before the walk: (witness letters or None, words examined)."""
+    k = compute_exponent(table)
+    examined = 0
+    for q in range(1 if bounds.allow_trivial else 2, bounds.resolved_max_len(k) + 1):
+        if not length_evaluable(q, table.arity) or not powers_fix_all(q, k):
+            continue
+        for letters in canonical_letter_seqs(q, bounds.max_vars):
+            examined += 1
+            if absorption_conditions_hold(table, sub, letters, max(letters) + 1):
+                return letters, examined
+    return None, examined
 
 
 class TestSearch:
@@ -103,6 +145,33 @@ class TestSearch:
             raw = search_absorbing_term(table, sub, bounds, prune=False)
             assert pruned.found == raw.found
             assert pruned.words_examined <= raw.words_examined
+
+
+class TestWordWalk:
+    def test_per_word_verdicts_match_definition(self):
+        # every canonical word with max_vars=3 and length <= 7, lengths the
+        # search would skip included
+        assert len(KERNEL_PAIRS) == 558
+        for table, sub in KERNEL_PAIRS:
+            walk = _WordWalk(table, sub, 3)
+            for q in range(1, 8):
+                if not length_evaluable(q, table.arity):
+                    continue
+                verdicts = list(walk._verdicts(q))
+                assert [letters for letters, _ in verdicts] == list(canonical_letter_seqs(q, 3))
+                for letters, absorbs in verdicts:
+                    expected = absorption_conditions_hold(table, sub, letters, max(letters) + 1)
+                    assert absorbs == expected, (table, sub, letters)
+
+    def test_search_matches_reference_scan(self):
+        for bounds in (OracleBounds(max_len=7), OracleBounds(max_vars=2, max_len=5, allow_trivial=True)):
+            for table, sub in KERNEL_PAIRS:
+                letters, examined = reference_search(table, sub, bounds)
+                out = search_absorbing_term(table, sub, bounds)
+                assert out.words_examined == examined, (table, sub)
+                assert (out.witness and out.witness.letters) == letters, (table, sub)
+                if letters is not None:
+                    assert out.witness.num_vars == max(letters) + 1
 
 
 class TestBounds:
