@@ -9,13 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .core import compute_exponent, is_associative, power_profile
 from .criteria import decide_theorem, derive_power_algebra
 from .errors import AbsorbError
 from .fileio import load_algebra, load_subuniverse, read_corpus_dir, save_algebra, write_corpus_dir
-from .generate import GenSpec, enumerate_tables
+from .generate import MODES, GenSpec, enumerate_tables
 from .harness import STATUS_CONSISTENT, oracle_record, run_corpus, table_digest, verdict_record
 from .oracle import Agreement, OracleBounds, oracle_agrees, search_absorbing_term
 from .version import VERSION
@@ -72,16 +72,7 @@ def _cmd_exponent(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    spec = GenSpec(
-        size=args.size,
-        arity=args.arity,
-        mode=args.mode,
-        count=args.count,
-        seed=args.seed,
-        idempotent=args.idempotent,
-        commutative=args.commutative,
-        dedup=args.dedup,
-    )
+    spec = GenSpec(**{f.name: getattr(args, f.name) for f in fields(GenSpec)})
     meta = write_corpus_dir(args.out, spec, enumerate_tables(spec))
     _emit({"count": meta["count"], "out": args.out})
     return 0
@@ -148,9 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arity", type=int, required=True)
     p.add_argument("--idempotent", action="store_true")
     p.add_argument("--commutative", action="store_true")
-    p.add_argument("--mode", choices=("exhaustive", "power", "random"), default="exhaustive")
-    p.add_argument("--count", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", choices=MODES, default=GenSpec.mode)
+    p.add_argument("--count", type=int, default=GenSpec.count)
+    p.add_argument("--seed", type=int, default=GenSpec.seed)
     p.add_argument("--dedup", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_enumerate)

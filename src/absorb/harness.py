@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator
 
 from .core import (  # table_digest is re-exported
@@ -23,7 +23,6 @@ from .core import (  # table_digest is re-exported
     Word,
     enumerate_subuniverses,
     eval_word,
-    is_closed,
     table_digest,
     table_facts,
 )
@@ -137,22 +136,52 @@ def oracle_record(outcome: OracleOutcome) -> dict:
 
 @dataclass
 class CorpusReport:
-    """Aggregate of a corpus run; wall_time never enters the report file."""
+    """Aggregate of a corpus run, tallied record by record; wall_time never
+    enters the report file."""
 
     source: dict
     bounds: dict
-    tables: int
-    pairs: int
-    agreements: dict[str, int]
-    cases: dict[str, int]
-    counterexamples: list[dict]
-    status: str
-    wall_time: float
     report_path: str
+    tables: int = 0
+    pairs: int = 0
+    agreements: dict[str, int] = field(default_factory=lambda: {a.value: 0 for a in Agreement})
+    cases: dict[str, int] = field(default_factory=lambda: {c.value: 0 for c in CaseTag})
+    counterexamples: list[dict] = field(default_factory=list)
+    wall_time: float = 0.0
 
     @property
-    def consistent(self) -> bool:
-        return self.status == STATUS_CONSISTENT
+    def status(self) -> str:
+        """failed if any counterexample is fatal, else candidate if any."""
+        if any(c["fatal"] for c in self.counterexamples):
+            return STATUS_FAILED
+        if self.counterexamples:
+            return STATUS_CANDIDATE
+        return STATUS_CONSISTENT
+
+    def add_record(self, record: dict) -> None:
+        self.pairs += 1
+        self.agreements[record["agreement"]] += 1
+        self.cases[record["case"]] += 1
+        if record["counterexample"]:
+            self.counterexamples.append(
+                {
+                    "table_id": record["table_id"],
+                    "table": record["table"],
+                    "sub": record["sub"],
+                    "fatal": record["fatal"],
+                }
+            )
+
+    def summary_record(self) -> dict:
+        return {
+            "type": "summary",
+            "status": self.status,
+            "tables": self.tables,
+            "pairs": self.pairs,
+            "agreements": self.agreements,
+            "cases": self.cases,
+            "counterexamples": self.counterexamples,
+        }
 
 
 def check_pair(
@@ -213,15 +242,6 @@ def is_conjecture_candidate(report: PairReport) -> bool:
         and not report.verdict.absorbs
         and not report.case.is_proved()
     )
-
-
-def _triple_check_candidate(report: PairReport) -> None:
-    """Re-verify closure and witness before flagging; associativity was
-    checked once for the whole table by table_facts."""
-    if not is_closed(report.table, report.sub):
-        raise RuntimeError("candidate triple-check failed: subset not closed")
-    if not verify_witness(report.table, report.sub, report.oracle.witness):
-        raise RuntimeError("candidate triple-check failed: witness does not verify")
 
 
 def derived_fact_probes(
@@ -288,50 +308,6 @@ def _write_checkpoint(path: str, state: dict) -> None:
     os.replace(tmp, path)
 
 
-class _Tally:
-    def __init__(self) -> None:
-        self.tables = 0
-        self.pairs = 0
-        self.agreements = {a.value: 0 for a in Agreement}
-        self.cases = {c.value: 0 for c in CaseTag}
-        self.counterexamples: list[dict] = []
-        self.fatal = False
-
-    def add_record(self, record: dict) -> None:
-        self.pairs += 1
-        self.agreements[record["agreement"]] += 1
-        self.cases[record["case"]] += 1
-        if record.get("counterexample"):
-            self.counterexamples.append(
-                {
-                    "table_id": record["table_id"],
-                    "table": record["table"],
-                    "sub": record["sub"],
-                    "fatal": record.get("fatal", False),
-                }
-            )
-        if record.get("fatal"):
-            self.fatal = True
-
-    def status(self) -> str:
-        if self.fatal:
-            return STATUS_FAILED
-        if self.counterexamples:
-            return STATUS_CANDIDATE
-        return STATUS_CONSISTENT
-
-    def summary_record(self) -> dict:
-        return {
-            "type": "summary",
-            "status": self.status(),
-            "tables": self.tables,
-            "pairs": self.pairs,
-            "agreements": self.agreements,
-            "cases": self.cases,
-            "counterexamples": self.counterexamples,
-        }
-
-
 def run_corpus(
     source: GenSpec | Iterable[NaryTable],
     bounds: OracleBounds,
@@ -344,8 +320,8 @@ def run_corpus(
     Writes one pair record per line to out_path plus a final summary
     record; the checkpoint (per completed table) lets a killed run resume
     into a byte-identical report.  Proved-case inconsistencies abort the
-    run as failed; conjectural oracle-vs-criterion conflicts are
-    triple-checked, flagged, and the run continues.
+    run as failed; conjectural oracle-vs-criterion conflicts are flagged
+    as counterexample candidates and the run continues.
     """
     started = time.perf_counter()
     if isinstance(source, GenSpec):
@@ -360,7 +336,7 @@ def run_corpus(
     fingerprint = hashlib.sha256(header_bytes).hexdigest()
     ckpt_path = resume if resume is not None else out_path + ".ckpt"
 
-    tally = _Tally()
+    report = CorpusReport(source=source_echo, bounds=asdict(bounds), report_path=out_path)
     skip_tables = 0
     if resume is not None and os.path.exists(ckpt_path):
         with open(ckpt_path, "rb") as f:
@@ -377,8 +353,8 @@ def run_corpus(
             for line in f:
                 record = json.loads(line)
                 if record["type"] == "pair":
-                    tally.add_record(record)
-        tally.tables = skip_tables
+                    report.add_record(record)
+        report.tables = skip_tables
         out = open(out_path, "ab")
     else:
         out = open(out_path, "wb")
@@ -391,21 +367,18 @@ def run_corpus(
                 continue
             facts = table_facts(table)
             for sub in enumerate_subuniverses(table, proper_only=True):
-                report = check_pair(facts, sub, bounds)
-                violations = proved_violations(report)
-                candidate = is_conjecture_candidate(report)
-                if candidate:
-                    _triple_check_candidate(report)
-                record = report.to_record()
-                record["counterexample"] = bool(violations) or candidate
+                pair = check_pair(facts, sub, bounds)
+                violations = proved_violations(pair)
+                record = pair.to_record()
+                record["counterexample"] = bool(violations) or is_conjecture_candidate(pair)
                 record["fatal"] = bool(violations)
                 record["violations"] = violations
                 out.write(_dump(record))
-                tally.add_record(record)
+                report.add_record(record)
                 if violations:
                     aborted = True
                     break
-            tally.tables += 1
+            report.tables += 1
             if aborted:
                 break
             out.flush()
@@ -415,24 +388,13 @@ def run_corpus(
                     "fingerprint": fingerprint,
                     "tables_done": index + 1,
                     "report_bytes": out.tell(),
-                    "pairs_done": tally.pairs,
                 },
             )
-        out.write(_dump(tally.summary_record()))
+        out.write(_dump(report.summary_record()))
     finally:
         out.close()
     if os.path.exists(ckpt_path):
         os.remove(ckpt_path)
 
-    return CorpusReport(
-        source=source_echo,
-        bounds=asdict(bounds),
-        tables=tally.tables,
-        pairs=tally.pairs,
-        agreements=tally.agreements,
-        cases=tally.cases,
-        counterexamples=tally.counterexamples,
-        status=tally.status(),
-        wall_time=time.perf_counter() - started,
-        report_path=out_path,
-    )
+    report.wall_time = time.perf_counter() - started
+    return report

@@ -74,16 +74,8 @@ def powers_fix_all(q: int, k: int | None) -> bool:
     return q == 1 or (k is not None and (q - 1) % (k - 1) == 0)
 
 
-class _Chunk:
-    """n-1 letters that extend a word, the number of variables used after
-    them, and their flat-index offsets over D (built on the first visit)."""
-
-    __slots__ = ("letters", "used_after", "offset")
-
-    def __init__(self, letters: tuple[int, ...], used_after: int) -> None:
-        self.letters = letters
-        self.used_after = used_after
-        self.offset: list[int] | None = None
+# (letters, variables used after them, flat-index offsets over D)
+_Step = tuple[tuple[int, ...], int, list[int]]
 
 
 class _WordWalk:
@@ -93,83 +85,68 @@ class _WordWalk:
     The words of one length are walked depth-first in (restricted-growth)
     lexicographic order, n-1 letters per step, carrying the vector of
     left-greedy partial products, so each prefix is evaluated once for all
-    the words that extend it.
+    the words that extend it.  The steps are tabulated once, up front: for
+    each number of variables used so far, every run of n-1 letters that may
+    follow, in lexicographic order, as (letters, variables used after them,
+    flat-index offsets of the letters' values over D).
     """
 
     def __init__(self, table: NaryTable, sub: Subuniverse, max_vars: int) -> None:
         outside = [a for a in range(table.size) if a not in sub.members]
-        self._domain = [
+        domain = [
             rest[:i] + (a,) + rest[i:]
             for i in range(max_vars)
             for rest in itertools.product(sub.elements, repeat=max_vars - 1)
             for a in outside
         ]
-        self._max_vars = max_vars
-        self._width = table.arity - 1
-        self._size = table.size
-        self._stride = table.size**self._width
+        width = table.arity - 1
+        m = table.size
+        # columns[v][j] is the value of variable v in the j-th assignment of D;
+        # a step's offsets grow by one letter at a time as o * m + that value
+        columns = [[assignment[v] for assignment in domain] for v in range(max_vars)]
+        self._width = width
+        self._stride = m**width
         self._entries = table.entries
         self._lands_inside = [e in sub.members for e in table.entries]
-        self._chunk_lists: dict[int, list[_Chunk]] = {}
-
-    def _chunks(self, used: int) -> list[_Chunk]:
-        """Every restricted-growth run of n-1 letters after `used` variables,
-        in lexicographic order."""
-        chunks = self._chunk_lists.get(used)
-        if chunks is None:
-            runs = [((), used)]
-            for _ in range(self._width):
-                runs = [
-                    (letters + (v,), max(u, v + 1))
-                    for letters, u in runs
-                    for v in range(min(u + 1, self._max_vars))
+        self._first = columns[0]
+        self._steps: dict[int, list[_Step]] = {}
+        for used in range(1, max_vars + 1):
+            steps = [((v,), max(used, v + 1), columns[v]) for v in range(min(used + 1, max_vars))]
+            for _ in range(width - 1):
+                steps = [
+                    (letters + (v,), max(u, v + 1), [o * m + c for o, c in zip(offsets, columns[v])])
+                    for letters, u, offsets in steps
+                    for v in range(min(u + 1, max_vars))
                 ]
-            chunks = self._chunk_lists[used] = [_Chunk(*run) for run in runs]
-        return chunks
-
-    def _offset(self, chunk: _Chunk) -> list[int]:
-        offset = chunk.offset
-        if offset is None:
-            m = self._size
-            offset = chunk.offset = []
-            for assignment in self._domain:
-                o = 0
-                for letter in chunk.letters:
-                    o = o * m + assignment[letter]
-                offset.append(o)
-        return offset
+            self._steps[used] = steps
 
     def _leaf_parents(self, q: int) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
         """(prefix, vector, variables used) of every length-q word (q > 1)
         without its last n-1 letters."""
-        entries, stride = self._entries, self._stride
+        entries, stride, steps = self._entries, self._stride, self._steps
 
-        def descend(prefix, vector, used, steps):
-            if steps == 1:
+        def descend(prefix, vector, used, depth):
+            if depth == 1:
                 yield prefix, vector, used
                 return
-            for chunk in self._chunks(used):
-                stepped = [entries[a * stride + o] for a, o in zip(vector, self._offset(chunk))]
-                yield from descend(prefix + chunk.letters, stepped, chunk.used_after, steps - 1)
+            for letters, used_after, offsets in steps[used]:
+                stepped = [entries[a * stride + o] for a, o in zip(vector, offsets)]
+                yield from descend(prefix + letters, stepped, used_after, depth - 1)
 
-        first = [assignment[0] for assignment in self._domain]
-        return descend((0,), first, 1, (q - 1) // self._width)
+        return descend((0,), self._first, 1, (q - 1) // self._width)
 
-    def _first_absorbing_leaf(self, vector: list[int], chunks: list[_Chunk]) -> int:
-        """Index of the first chunk that completes the vector's word into an
-        absorbing one, or len(chunks); stops at the first escaping entry."""
+    def _first_absorbing_leaf(self, vector: list[int], steps: list[_Step]) -> int:
+        """Index of the first step that completes the vector's word into an
+        absorbing one, or len(steps); stops at the first escaping entry."""
         inside = self._lands_inside
         bases = [a * self._stride for a in vector]
-        for i, chunk in enumerate(chunks):
-            offset = chunk.offset  # read directly: this loop runs once per word
-            if offset is None:
-                offset = self._offset(chunk)
-            for b, o in zip(bases, offset):
+        for i, (_letters, _used_after, offsets) in enumerate(steps):
+            for b, o in zip(bases, offsets):
                 if not inside[b + o]:
                     break
             else:
                 return i
-        return len(chunks)
+        return len(steps)
 
     def first_absorbing(self, q: int) -> tuple[tuple[int, ...] | None, int]:
         """First absorbing word of length q (None if none) and the number of
@@ -178,11 +155,11 @@ class _WordWalk:
             return None, 1
         examined = 0
         for prefix, vector, used in self._leaf_parents(q):
-            chunks = self._chunks(used)
-            i = self._first_absorbing_leaf(vector, chunks)
-            if i < len(chunks):
-                return prefix + chunks[i].letters, examined + i + 1
-            examined += len(chunks)
+            steps = self._steps[used]
+            i = self._first_absorbing_leaf(vector, steps)
+            if i < len(steps):
+                return prefix + steps[i][0], examined + i + 1
+            examined += len(steps)
         return None, examined
 
     def _verdicts(self, q: int) -> Iterator[tuple[tuple[int, ...], bool]]:
@@ -191,8 +168,8 @@ class _WordWalk:
             yield (0,), False
             return
         for prefix, vector, used in self._leaf_parents(q):
-            for chunk in self._chunks(used):
-                yield prefix + chunk.letters, self._first_absorbing_leaf(vector, [chunk]) == 0
+            for step in self._steps[used]:
+                yield prefix + step[0], self._first_absorbing_leaf(vector, [step]) == 0
 
 
 def search_absorbing_term(

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import absorb.cli
 from absorb.cli import main
 from absorb.fileio import (
     load_algebra,
@@ -170,6 +171,18 @@ class TestEnumerateAndVerify:
         )
         assert code == 0
         assert doc["count"] == 8
+
+    def test_defaults_come_from_genspec(self, capsys, monkeypatch):
+        specs = []
+
+        def capture(out, spec, tables):
+            specs.append(spec)
+            return {"count": 0}
+
+        monkeypatch.setattr(absorb.cli, "write_corpus_dir", capture)
+        code, _doc = run(capsys, ["enumerate", "--size", "2", "--arity", "2", "--out", "X"])
+        assert code == 0
+        assert specs == [GenSpec(2, 2)]
 
     def test_budget_error_exit(self, capsys, tmp_path):
         code = main(["enumerate", "--size", "3", "--arity", "3", "--out", str(tmp_path / "x")])

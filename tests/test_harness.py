@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import sys
@@ -20,6 +21,8 @@ from absorb import (
     run_corpus,
     table_digest,
 )
+from absorb.cli import main
+from absorb.fileio import save_algebra
 from absorb.harness import proved_violations
 from conftest import LEFT_ZERO, MIN2, SUB0, SUB01_OF3, TMIN2, TMIN3, TZ2, Z2
 from test_core import ASSOC_SMALL
@@ -233,6 +236,72 @@ class TestRunCorpus:
         assert ckpt.exists()
         with pytest.raises(ValueError):
             run_corpus(GenSpec(2, 2), OracleBounds(max_vars=2), str(out), resume=str(ckpt))
+
+
+def flip_to_disagree(monkeypatch, flips):
+    """Make check_pair report Disagree on every pair for which flips(report)
+    holds, as an oracle contradicting the criterion there would."""
+    import absorb.harness as harness
+
+    real = harness.check_pair
+
+    def flipping(table, sub, bounds):
+        report = real(table, sub, bounds)
+        if flips(report):
+            return dataclasses.replace(report, agreement=Agreement.DISAGREE)
+        return report
+
+    monkeypatch.setattr(harness, "check_pair", flipping)
+
+
+class TestRunStatus:
+    def test_conjectural_disagree_is_candidate(self, tmp_path, capsys, monkeypatch):
+        flip_to_disagree(monkeypatch, lambda r: r.case is CaseTag.CONJECTURAL)
+        out = tmp_path / "report.jsonl"
+        report = run_corpus([PROJ_KILL_T, MIN2, Z2], OracleBounds(), str(out))
+        assert report.status == "counterexample-candidate"
+        assert (report.tables, report.pairs) == (3, 10)
+        assert report.agreements["Disagree"] == 5
+        assert [c["fatal"] for c in report.counterexamples] == [False] * 5
+
+        lines = read_report(out)
+        assert lines[-1]["status"] == "counterexample-candidate"
+        flagged = [l for l in lines if l["type"] == "pair" and l["counterexample"]]
+        assert len(flagged) == 5
+        assert all(l["case"] == "Conjectural" for l in flagged)
+        assert all(not l["fatal"] and l["violations"] == [] for l in flagged)
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name, table in (("a", PROJ_KILL_T), ("b", MIN2), ("c", Z2)):
+            save_algebra(str(corpus / f"{name}.json"), table)
+        capsys.readouterr()
+        code = main(
+            ["verify-conjecture", "--corpus", str(corpus), "--report", str(tmp_path / "cli.jsonl")]
+        )
+        assert code == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "counterexample-candidate"
+        assert doc["tables"] == 3
+
+    def test_contradicted_absorbing_verdict_fails_and_aborts(self, tmp_path, monkeypatch):
+        flip_to_disagree(monkeypatch, lambda r: r.verdict.absorbs)
+        out = tmp_path / "report.jsonl"
+        report = run_corpus([Z2, MIN2, PROJ_KILL_T], OracleBounds(), str(out))
+        assert report.status == "failed"
+        assert (report.tables, report.pairs) == (2, 2)
+        assert [c["fatal"] for c in report.counterexamples] == [True]
+
+        lines = read_report(out)
+        assert [l["type"] for l in lines] == ["header", "pair", "pair", "summary"]
+        fatal = lines[2]
+        assert fatal["table"] == list(MIN2.entries) and fatal["sub"] == [0]
+        assert fatal["counterexample"] and fatal["fatal"]
+        assert fatal["violations"] == [
+            "criterion absorbs but oracle found nothing within adequate bounds"
+        ]
+        assert lines[-1]["status"] == "failed"
+        assert not (tmp_path / "report.jsonl.ckpt").exists()
 
 
 class TestReportPins:
