@@ -7,19 +7,28 @@ lengths 1 mod (arity - 1).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded, LengthNotEvaluable, NotAssociative
 
 # Exhaustive subuniverse scans iterate 2^m - 1 subsets; cap the carrier size.
 SUBSET_SCAN_MAX_SIZE = 16
 
-# Element-relabeling search bound for canonical forms (m! permutations).
+# Element-relabeling search bound for canonical forms (m! permutations); it
+# also keeps every element below 256, so canonical_form works on bytes.
 CANONICAL_PERM_MAX_SIZE = 6
+
+# Shapes whose m! relabelings span at most this many entries keep their
+# relabeling maps for the life of the process (about 11 MB at most per
+# shape); larger shapes, such as 5-ary tables of size 6, rebuild them on
+# each call.
+CANONICAL_CACHE_MAX_ENTRIES = 1 << 18
 
 _VAR_NAMES = "xyzuvw"
 
@@ -38,10 +47,10 @@ class NaryTable:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.arity < 2:
-            raise ValueError(f"arity must be >= 2, got {self.arity}")
-        if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
+        if type(self.arity) is not int or self.arity < 2:  # bool is rejected too
+            raise ValueError(f"arity must be an int >= 2, got {self.arity!r}")
+        if type(self.size) is not int or self.size < 1:
+            raise ValueError(f"size must be an int >= 1, got {self.size!r}")
         object.__setattr__(self, "entries", tuple(self.entries))
         expected = self.size**self.arity
         if len(self.entries) != expected:
@@ -116,12 +125,12 @@ class Word:
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.num_vars < 1:
-            raise ValueError("num_vars must be >= 1")
+        if type(self.num_vars) is not int or self.num_vars < 1:  # bool is rejected too
+            raise ValueError("num_vars must be an int >= 1")
         object.__setattr__(self, "letters", tuple(self.letters))
         if not self.letters:
             raise ValueError("word must be nonempty")
-        if any(not 0 <= l < self.num_vars for l in self.letters):
+        if any(type(l) is not int or not 0 <= l < self.num_vars for l in self.letters):
             raise ValueError("letters must be variable indices below num_vars")
 
     @property
@@ -282,10 +291,45 @@ def is_idempotent(table: NaryTable) -> bool:
     return all(table.apply(*([a] * table.arity)) == a for a in range(table.size))
 
 
+def _relabeling_maps(
+    size: int, arity: int, anchors: Iterable[int]
+) -> Iterator[tuple[Callable, bytes]]:
+    """The relabelings of a (size, arity) table that send an anchor to 0,
+    each as a (gather, values) pair.
+
+    For a relabeling perm, the relabeled entries are
+    bytes(gather(raw.translate(values))): values is the 256-byte translate
+    table of perm, and gather picks, for each relabeled position, the source
+    position whose argument tuple perm maps there.  Needs size >= 2, so that
+    gather returns a tuple.
+    """
+    anchors = set(anchors)
+    tuples = list(itertools.product(range(size), repeat=arity))
+    for perm in itertools.permutations(range(size)):
+        if perm.index(0) not in anchors:
+            continue
+        sources = [0] * len(tuples)
+        for i, tup in enumerate(tuples):
+            j = 0
+            for a in tup:
+                j = j * size + perm[a]
+            sources[j] = i
+        yield operator.itemgetter(*sources), bytes(perm) + bytes(range(size, 256))
+
+
+@functools.cache
+def _relabelings(size: int, arity: int) -> tuple[tuple[tuple[Callable, bytes], ...], ...]:
+    """_relabeling_maps of one shape, built once, grouped by the element sent to 0."""
+    return tuple(tuple(_relabeling_maps(size, arity, (a,))) for a in range(size))
+
+
 def canonical_form(table: NaryTable) -> NaryTable:
     """Lexicographically minimal entry sequence over all element relabelings.
 
     Isomorphic tables map to equal canonical forms; the map is idempotent.
+    A relabeling sending a to 0 starts its entries with the new label of
+    f(a, ..., a), which is 0 exactly when a is idempotent; so when the table
+    has an idempotent, only the relabelings sending one to 0 can be minimal.
     """
     m, n = table.size, table.arity
     if m > CANONICAL_PERM_MAX_SIZE:
@@ -293,19 +337,18 @@ def canonical_form(table: NaryTable) -> NaryTable:
             f"canonical form over {m}! relabelings exceeds the cap of "
             f"{CANONICAL_PERM_MAX_SIZE}!"
         )
-    tuples = list(itertools.product(range(m), repeat=n))
-    best: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(m)):
-        relabeled = [0] * len(table.entries)
-        for i, tup in enumerate(tuples):
-            j = 0
-            for a in tup:
-                j = j * m + perm[a]
-            relabeled[j] = perm[table.entries[i]]
-        candidate = tuple(relabeled)
-        if best is None or candidate < best:
-            best = candidate
-    return NaryTable(n, m, best)
+    if m == 1:
+        return table
+    diagonal = (m**n - 1) // (m - 1)  # flat index of (1, ..., 1)
+    anchors = [a for a in range(m) if table.entries[a * diagonal] == a] or range(m)
+    if math.factorial(m) * m**n <= CANONICAL_CACHE_MAX_ENTRIES:
+        groups = _relabelings(m, n)
+        maps = itertools.chain.from_iterable(groups[a] for a in anchors)
+    else:
+        maps = _relabeling_maps(m, n, anchors)
+    raw = bytes(table.entries)
+    best = min(bytes(gather(raw.translate(values))) for gather, values in maps)
+    return NaryTable(n, m, tuple(best))
 
 
 def table_digest(table: NaryTable) -> str:
@@ -316,8 +359,12 @@ def table_digest(table: NaryTable) -> str:
     else:
         base = table
         prefix = "r"
-    payload = f"{base.arity}:{base.size}:{','.join(map(str, base.entries))}"
-    return prefix + hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return prefix + hashlib.sha256(table_text(base).encode()).hexdigest()[:16]
+
+
+def table_text(table: NaryTable) -> str:
+    """The raw "arity:size:entries" text that digests and stream hashes read."""
+    return f"{table.arity}:{table.size}:{','.join(map(str, table.entries))}"
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,6 @@ def load_algebra(path: str) -> tuple[NaryTable, list[str] | None]:
     for key in ("arity", "size", "table"):
         if key not in doc:
             raise ValueError(f"{path}: missing required field {key!r}")
-    if not isinstance(doc["arity"], int) or not isinstance(doc["size"], int):
-        raise ValueError(f"{path}: arity and size must be integers")
     if not isinstance(doc["table"], list):
         raise ValueError(f"{path}: table must be a flat integer array")
     try:

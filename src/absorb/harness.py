@@ -10,6 +10,7 @@ interrupted run resumes byte-identically, and classifies the outcome
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import time
@@ -25,6 +26,7 @@ from .core import (  # table_digest is re-exported
     eval_word,
     table_digest,
     table_facts,
+    table_text,
 )
 from .criteria import (
     AbsorptionVerdict,
@@ -319,9 +321,11 @@ def run_corpus(
 
     Writes one pair record per line to out_path plus a final summary
     record; the checkpoint (per completed table) lets a killed run resume
-    into a byte-identical report.  Proved-case inconsistencies abort the
-    run as failed; conjectural oracle-vs-criterion conflicts are flagged
-    as counterexample candidates and the run continues.
+    into a byte-identical report.  Resuming raises ValueError unless the
+    run's parameters and the raw tables it skips match the checkpoint.
+    Proved-case inconsistencies abort the run as failed; conjectural
+    oracle-vs-criterion conflicts are flagged as counterexample candidates
+    and the run continues.
     """
     started = time.perf_counter()
     if isinstance(source, GenSpec):
@@ -337,6 +341,8 @@ def run_corpus(
     ckpt_path = resume if resume is not None else out_path + ".ckpt"
 
     report = CorpusReport(source=source_echo, bounds=asdict(bounds), report_path=out_path)
+    # Raw entries, not table_digest: a relabeled table stream must not match.
+    stream_hash = hashlib.sha256()
     skip_tables = 0
     if resume is not None and os.path.exists(ckpt_path):
         with open(ckpt_path, "rb") as f:
@@ -344,6 +350,10 @@ def run_corpus(
         if state.get("fingerprint") != fingerprint:
             raise ValueError("checkpoint does not match this run's parameters")
         skip_tables = state["tables_done"]
+        for table in itertools.islice(tables, skip_tables):
+            stream_hash.update(table_text(table).encode() + b";")
+        if state.get("tables_sha256") != stream_hash.hexdigest():
+            raise ValueError("checkpoint does not match this run's table stream")
         report_bytes = state["report_bytes"]
         if os.path.getsize(out_path) < report_bytes:
             raise ValueError("report file is shorter than the checkpoint records")
@@ -362,9 +372,8 @@ def run_corpus(
 
     aborted = False
     try:
-        for index, table in enumerate(tables):
-            if index < skip_tables:
-                continue
+        for index, table in enumerate(tables, start=skip_tables):
+            stream_hash.update(table_text(table).encode() + b";")
             facts = table_facts(table)
             for sub in enumerate_subuniverses(table, proper_only=True):
                 pair = check_pair(facts, sub, bounds)
@@ -387,6 +396,7 @@ def run_corpus(
                 {
                     "fingerprint": fingerprint,
                     "tables_done": index + 1,
+                    "tables_sha256": stream_hash.hexdigest(),
                     "report_bytes": out.tell(),
                 },
             )

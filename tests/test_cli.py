@@ -55,6 +55,10 @@ class TestFileFormats:
         p.write_text('{"arity": 2, "size": 2}')
         with pytest.raises(ValueError):
             load_algebra(str(p))
+        for shape in ('"arity": 2, "size": true', '"arity": "2", "size": 1'):
+            p.write_text('{%s, "table": [0]}' % shape)
+            with pytest.raises(ValueError, match="must be an int"):
+                load_algebra(str(p))
 
     def test_subuniverse_roundtrip(self, tmp_path):
         p = tmp_path / "s.json"

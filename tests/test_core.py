@@ -73,6 +73,12 @@ class TestNaryTable:
         with pytest.raises(ValueError):
             NaryTable(2, 2, (True, False, False, True))
 
+    def test_bool_and_float_shape_rejected(self):
+        with pytest.raises(ValueError):
+            NaryTable(2, True, (0,))
+        with pytest.raises(ValueError):
+            NaryTable(2.0, 2, (0, 0, 0, 0))
+
     def test_row_major_layout(self):
         t = NaryTable(2, 3, tuple((a * 3 + b) % 3 for a in range(3) for b in range(3)))
         assert t.apply(2, 1) == (2 * 3 + 1) % 3
@@ -105,6 +111,12 @@ class TestWord:
     def test_nonempty(self):
         with pytest.raises(ValueError):
             Word(1, ())
+
+    def test_bool_rejected(self):
+        with pytest.raises(ValueError):
+            Word(2, (True, False))
+        with pytest.raises(ValueError):
+            Word(True, (0, 0))
 
     def test_display(self):
         assert str(Word(2, (0, 0, 1))) == "xxy"

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+import absorb.core
 from absorb import (
     AttemptCapExhausted,
     BudgetExceeded,
@@ -20,6 +22,24 @@ from conftest import LEFT_ZERO, MIN2, TZ2, Z2
 from test_core import ASSOC_BINARY2, ASSOC_TERNARY2, naive_associative
 
 MAX2 = NaryTable.from_function(2, 2, max)
+
+
+def naive_canonical_form(table):
+    """Reference: relabel every index of every permutation, keep the minimum."""
+    m, n = table.size, table.arity
+    tuples = list(itertools.product(range(m), repeat=n))
+    best = None
+    for perm in itertools.permutations(range(m)):
+        relabeled = [0] * len(table.entries)
+        for i, tup in enumerate(tuples):
+            j = 0
+            for a in tup:
+                j = j * m + perm[a]
+            relabeled[j] = perm[table.entries[i]]
+        candidate = tuple(relabeled)
+        if best is None or candidate < best:
+            best = candidate
+    return NaryTable(n, m, best)
 
 
 class TestExhaustive:
@@ -175,6 +195,31 @@ class TestCanonicalForm:
         with pytest.raises(BudgetExceeded):
             canonical_form(NaryTable.from_function(2, 7, lambda a, b: 0))
 
+    def test_matches_naive(self):
+        rng = random.Random(6)
+        tables = [NaryTable(2, 1, (0,))]
+        tables += [NaryTable(3, 2, e) for e in itertools.product(range(2), repeat=8)]
+        tables += [NaryTable(2, 3, e) for e in itertools.product(range(3), repeat=9)]
+        tables += enumerate_tables(GenSpec(4, 2))
+        tables += itertools.islice(enumerate_tables(GenSpec(5, 2, commutative=True)), 0, None, 10)
+        tables += enumerate_tables(GenSpec(3, 3, mode="power"))
+        tables += [NaryTable(2, 6, tuple(rng.randrange(6) for _ in range(36))) for _ in range(20)]
+        assert len(tables) == 1 + 256 + 19_683 + 3_492 + 3_073 + 113 + 20
+        assert any(not any(t.apply(*[a] * t.arity) == a for a in range(t.size)) for t in tables)
+        for t in tables:
+            assert canonical_form(t) == naive_canonical_form(t), t
+
+    def test_uncached_shapes_match_naive(self, monkeypatch):
+        monkeypatch.setattr(absorb.core, "CANONICAL_CACHE_MAX_ENTRIES", 0)
+        absorb.core._relabelings.cache_clear()
+        rng = random.Random(7)
+        tables = [NaryTable(3, 2, e) for e in itertools.product(range(2), repeat=8)]
+        tables += enumerate_tables(GenSpec(3, 2))
+        tables += [NaryTable(2, 6, tuple(rng.randrange(6) for _ in range(36))) for _ in range(3)]
+        for t in tables:
+            assert canonical_form(t) == naive_canonical_form(t), t
+        assert absorb.core._relabelings.cache_info().currsize == 0
+
 
 class TestDedup:
     def test_preserves_canonical_set(self):
@@ -186,6 +231,16 @@ class TestDedup:
         assert raw_classes == dedup_classes
         assert len(deduped) == len(dedup_classes)
         assert len(deduped) <= len(raw)
+
+    def test_counts_match_oeis(self):
+        # Semigroups up to isomorphism: OEIS A027851 (all) and A001426 (commutative).
+        for spec, count in (
+            (GenSpec(2, 2, dedup=True), 5),
+            (GenSpec(3, 2, dedup=True), 24),
+            (GenSpec(4, 2, dedup=True), 188),
+            (GenSpec(5, 2, commutative=True, dedup=True), 325),
+        ):
+            assert sum(1 for _ in enumerate_tables(spec)) == count, spec
 
 
 class TestEnumeratePairs:

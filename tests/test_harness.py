@@ -238,6 +238,54 @@ class TestRunCorpus:
             run_corpus(GenSpec(2, 2), OracleBounds(max_vars=2), str(out), resume=str(ckpt))
 
 
+    def test_resume_rejects_a_different_table_stream(self, tmp_path, monkeypatch, binary2, binary3):
+        import absorb.harness as harness
+
+        out = tmp_path / "report.jsonl"
+        ckpt = tmp_path / "run.ckpt"
+        real = harness.enumerate_subuniverses
+        calls = 0
+
+        def killer(table, proper_only):
+            nonlocal calls
+            calls += 1
+            if calls > 5:
+                raise KeyboardInterrupt
+            return real(table, proper_only)
+
+        monkeypatch.setattr(harness, "enumerate_subuniverses", killer)
+        with pytest.raises(KeyboardInterrupt):
+            run_corpus(binary3, OracleBounds(), str(out), resume=str(ckpt))
+        monkeypatch.setattr(harness, "enumerate_subuniverses", real)
+        state = json.loads(ckpt.read_bytes())
+        assert state["tables_done"] == 5
+        written = out.read_bytes()
+
+        # The first table relabeled: same table_digest, different raw entries.
+        swap = (1, 0, 2)
+        relabeled = NaryTable.from_function(
+            2, 3, lambda a, b: swap[binary3[0].apply(swap[a], swap[b])]
+        )
+        assert relabeled != binary3[0]
+        assert table_digest(relabeled) == table_digest(binary3[0])
+        for tables in (binary2, [relabeled] + binary3[1:]):
+            with pytest.raises(ValueError, match="table stream"):
+                run_corpus(tables, OracleBounds(), str(out), resume=str(ckpt))
+        del state["tables_sha256"]
+        old_ckpt = tmp_path / "old.ckpt"
+        old_ckpt.write_text(json.dumps(state))
+        with pytest.raises(ValueError, match="table stream"):
+            run_corpus(binary3, OracleBounds(), str(out), resume=str(old_ckpt))
+        assert out.read_bytes() == written
+
+        # A stream that starts with the same five tables still resumes.
+        resumed = run_corpus(binary3[:8], OracleBounds(), str(out), resume=str(ckpt))
+        clean = tmp_path / "clean.jsonl"
+        run_corpus(binary3[:8], OracleBounds(), str(clean))
+        assert (resumed.status, resumed.tables) == ("consistent", 8)
+        assert out.read_bytes() == clean.read_bytes()
+
+
 def flip_to_disagree(monkeypatch, flips):
     """Make check_pair report Disagree on every pair for which flips(report)
     holds, as an oracle contradicting the criterion there would."""
