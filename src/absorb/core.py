@@ -52,11 +52,16 @@ class NaryTable:
         if type(self.size) is not int or self.size < 1:
             raise ValueError(f"size must be an int >= 1, got {self.size!r}")
         object.__setattr__(self, "entries", tuple(self.entries))
-        expected = self.size**self.arity
-        if len(self.entries) != expected:
+        count = len(self.entries)
+        if self.size > 1 and self.arity > count.bit_length():
+            # size**arity >= 2**arity > count: reject before building a power
+            # that can have millions of digits.
+            expected: int | str = f"{self.size}**{self.arity}"
+        else:
+            expected = self.size**self.arity
+        if count != expected:
             raise ValueError(
-                f"size {self.size} arity {self.arity} needs {expected} entries, "
-                f"got {len(self.entries)}"
+                f"size {self.size} arity {self.arity} needs {expected} entries, got {count}"
             )
         for e in self.entries:
             if type(e) is not int or not 0 <= e < self.size:  # bool is rejected too
@@ -102,7 +107,7 @@ class Subuniverse:
     def mask(self) -> int:
         return sum(1 << a for a in self.members)
 
-    @property
+    @functools.cached_property
     def elements(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 
@@ -277,13 +282,17 @@ def is_associative(table: NaryTable) -> bool:
 
 
 def is_commutative(table: NaryTable) -> bool:
-    """Invariant under all argument permutations; adjacent swaps suffice."""
-    for tup in itertools.product(range(table.size), repeat=table.arity):
-        value = table.apply(*tup)
-        for i in range(table.arity - 1):
-            swapped = tup[:i] + (tup[i + 1], tup[i]) + tup[i + 2 :]
-            if table.apply(*swapped) != value:
-                return False
+    """Invariant under all argument permutations; adjacent swaps suffice.
+
+    Swapping arguments i and i+1 moves flat index j by
+    (a_(i+1) - a_i) * (m**(n-1-i) - m**(n-2-i)), so each swap is one gather.
+    """
+    n, m, entries = table.arity, table.size, table.entries
+    for i in range(n - 1):
+        low = m ** (n - 2 - i)  # weight of argument i+1; argument i weighs m * low
+        swapped = (j + (j // low % m - j // (m * low) % m) * (m - 1) * low for j in range(len(entries)))
+        if tuple(map(entries.__getitem__, swapped)) != entries:
+            return False
     return True
 
 
@@ -393,19 +402,29 @@ def table_facts(table: NaryTable | TableFacts) -> TableFacts:
     )
 
 
+def _power_indices(m: int, n: int, elements: Sequence[int]) -> list[int]:
+    """Flat indices of every n-tuple over elements, in lexicographic order."""
+    indices = [0]
+    for _ in range(n):
+        indices = [i * m + a for i in indices for a in elements]
+    return indices
+
+
+def _closed(table: NaryTable, elements: Sequence[int], members: frozenset[int]) -> bool:
+    indices = _power_indices(table.size, table.arity, elements)
+    return members.issuperset(map(table.entries.__getitem__, indices))
+
+
 def is_closed(table: NaryTable, sub: Subuniverse) -> bool:
     """Every n-tuple from the subset lands back in the subset."""
     if sub.carrier_size != table.size:
         raise ValueError("subuniverse carrier does not match table size")
-    members = sub.members
-    for tup in itertools.product(sub.elements, repeat=table.arity):
-        if table.apply(*tup) not in members:
-            return False
-    return True
+    return _closed(table, sub.elements, sub.members)
 
 
 def enumerate_subuniverses(table: NaryTable, proper_only: bool) -> list[Subuniverse]:
-    """All nonempty closed subsets in ascending bitmask order."""
+    """All nonempty closed subsets in ascending bitmask order; a Subuniverse
+    is built only for the closed ones."""
     m = table.size
     if m > SUBSET_SCAN_MAX_SIZE:
         raise BudgetExceeded(
@@ -413,10 +432,9 @@ def enumerate_subuniverses(table: NaryTable, proper_only: bool) -> list[Subunive
         )
     full = (1 << m) - 1
     found = []
-    for mask in range(1, full + 1):
-        if proper_only and mask == full:
-            continue
-        sub = Subuniverse.from_mask(m, mask)
-        if is_closed(table, sub):
-            found.append(sub)
+    for mask in range(1, full if proper_only else full + 1):
+        elements = [a for a in range(m) if mask >> a & 1]
+        members = frozenset(elements)
+        if _closed(table, elements, members):
+            found.append(Subuniverse(m, members))
     return found

@@ -17,6 +17,7 @@ from .core import (  # is_commutative and is_idempotent are re-exported
     Subuniverse,
     TableFacts,
     Word,
+    _power_indices,
     _reduce_left,
     eval_word,
     is_closed,
@@ -69,27 +70,26 @@ class AbsorptionVerdict:
 
 
 def cond2_products(table: NaryTable, sub: Subuniverse) -> bool:
-    """Padded products a b^(n-1) and b^(n-1) a stay in the subset."""
-    pad = table.arity - 1
-    members = sub.members
-    for b in sub.elements:
-        for a in range(table.size):
-            if table.apply(a, *([b] * pad)) not in members:
-                return False
-            if table.apply(*([b] * pad), a) not in members:
-                return False
-    return True
+    """Padded products a b^(n-1) and b^(n-1) a stay in the subset.
+
+    With r = 1 + m + ... + m^(n-2), their flat indices are a m^(n-1) + b r
+    and b m r + a.
+    """
+    n, m, entries = table.arity, table.size, table.entries
+    r = sum(m**j for j in range(n - 1))
+    top = m ** (n - 1)
+    indices = [a * top + b * r for b in sub.elements for a in range(m)]
+    indices += [b * m * r + a for b in sub.elements for a in range(m)]
+    return sub.members.issuperset(map(entries.__getitem__, indices))
 
 
 def cond3_products(table: NaryTable, sub: Subuniverse) -> bool:
-    """Every n-tuple with at least one coordinate in the subset lands in it."""
+    """Every n-tuple with at least one coordinate in the subset lands in it:
+    every entry except those of (A minus B)^n."""
     members = sub.members
-    for tup in itertools.product(range(table.size), repeat=table.arity):
-        if members.isdisjoint(tup):
-            continue
-        if table.apply(*tup) not in members:
-            return False
-    return True
+    outside = [a for a in range(table.size) if a not in members]
+    skipped = set(_power_indices(table.size, table.arity, outside))
+    return members.issuperset(e for i, e in enumerate(table.entries) if i not in skipped)
 
 
 def detect_case(table: NaryTable | TableFacts, sub: Subuniverse) -> CaseTag:

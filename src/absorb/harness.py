@@ -2,7 +2,7 @@
 
 check_pair runs both decision routes on one (table, sub) pair; run_corpus
 streams pairs from a generator or an explicit table list, writes one
-self-contained JSON record per line, keeps a per-table checkpoint so an
+self-contained JSON record per line, keeps a throttled checkpoint so an
 interrupted run resumes byte-identically, and classifies the outcome
 (consistent / counterexample-candidate / failed).
 """
@@ -15,7 +15,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .core import (  # table_digest is re-exported
     NaryTable,
@@ -47,6 +47,9 @@ REPORT_FORMAT = "absorb-report/1"
 STATUS_CONSISTENT = "consistent"
 STATUS_CANDIDATE = "counterexample-candidate"
 STATUS_FAILED = "failed"
+
+# Least time between two checkpoint writes during a run.
+CHECKPOINT_INTERVAL_S = 1.0
 
 # Membership facts the idempotent-ternary proof derives along the way, in
 # proof-step order, as two-variable words: variable 0 is the arbitrary
@@ -303,7 +306,8 @@ def _header_record(source_echo: dict, bounds: OracleBounds, meta: dict | None) -
     }
 
 
-def _write_checkpoint(path: str, state: dict) -> None:
+def _write_checkpoint(path: str, out: BinaryIO, state: dict) -> None:
+    out.flush()  # the report holds report_bytes before the checkpoint says so
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         f.write(_dump(state))
@@ -320,8 +324,10 @@ def run_corpus(
     """Check every (table, proper closed sub) pair of the corpus.
 
     Writes one pair record per line to out_path plus a final summary
-    record; the checkpoint (per completed table) lets a killed run resume
-    into a byte-identical report.  Resuming raises ValueError unless the
+    record.  The checkpoint records the last completed table at most once
+    per CHECKPOINT_INTERVAL_S, and once more when an exception ends the
+    run; a killed run resumes from it into a byte-identical report, redoing
+    the tables completed after it.  Resuming raises ValueError unless the
     run's parameters and the raw tables it skips match the checkpoint.
     Proved-case inconsistencies abort the run as failed; conjectural
     oracle-vs-criterion conflicts are flagged as counterexample candidates
@@ -371,6 +377,8 @@ def run_corpus(
         out.write(header_bytes)
 
     aborted = False
+    snapshot = written = None  # the state after the last completed table, the last on disk
+    last_write = time.perf_counter()
     try:
         for index, table in enumerate(tables, start=skip_tables):
             stream_hash.update(table_text(table).encode() + b";")
@@ -390,17 +398,20 @@ def run_corpus(
             report.tables += 1
             if aborted:
                 break
-            out.flush()
-            _write_checkpoint(
-                ckpt_path,
-                {
-                    "fingerprint": fingerprint,
-                    "tables_done": index + 1,
-                    "tables_sha256": stream_hash.hexdigest(),
-                    "report_bytes": out.tell(),
-                },
-            )
+            snapshot = {
+                "fingerprint": fingerprint,
+                "tables_done": index + 1,
+                "tables_sha256": stream_hash.hexdigest(),
+                "report_bytes": out.tell(),
+            }
+            if time.perf_counter() - last_write >= CHECKPOINT_INTERVAL_S:
+                _write_checkpoint(ckpt_path, out, snapshot)
+                written, last_write = snapshot, time.perf_counter()
         out.write(_dump(report.summary_record()))
+    except BaseException:
+        if snapshot is not written:
+            _write_checkpoint(ckpt_path, out, snapshot)
+        raise
     finally:
         out.close()
     if os.path.exists(ckpt_path):

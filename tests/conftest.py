@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import pytest
 from hypothesis import settings
 
@@ -59,6 +62,36 @@ def binary4():
 @pytest.fixture(scope="session")
 def ternary2():
     return list(enumerate_tables(GenSpec(2, 3)))
+
+
+@pytest.fixture(scope="session")
+def commutative5():
+    """The 30,730 commutative binary tables of size 5, enumerated once."""
+    return list(enumerate_tables(GenSpec(5, 2, commutative=True)))
+
+
+@pytest.fixture(scope="session")
+def predicate_tables(binary3):
+    """Tables the index-arithmetic predicates are checked on against their
+    apply loops: every binary size-3 and ternary size-2 table, and 5-ary
+    size-3 tables derived from binary ones, each also with one entry
+    changed where only the first or only the last adjacent swap sees it."""
+    tables = [NaryTable(2, 3, e) for e in itertools.product(range(3), repeat=9)]
+    tables += [NaryTable(3, 2, e) for e in itertools.product(range(2), repeat=8)]
+    for binary in binary3[::8]:
+        derived = derive_power_algebra(binary, 5)
+        tables.append(derived)
+        for changed in (1, 81):  # the tuples (0,0,0,0,1) and (1,0,0,0,0)
+            entries = list(derived.entries)
+            entries[changed] = (entries[changed] + 1) % 3
+            tables.append(NaryTable(5, 3, entries))
+    return tables
+
+
+@functools.cache
+def all_subsets(size):
+    """Every nonempty subset of the carrier, in ascending mask order."""
+    return [Subuniverse.from_mask(size, mask) for mask in range(1, 1 << size)]
 
 
 def check_corpus(tables, bounds=None, per_table_bounds=None):

@@ -19,11 +19,13 @@ from absorb import (
     eval_word,
     is_associative,
     is_closed,
+    is_commutative,
     power_profile,
     table_digest,
     table_facts,
 )
-from conftest import MIN2, MIN3, NULL2, TMIN2, TZ2, Z2, Z3
+from absorb.fileio import load_algebra
+from conftest import MIN2, MIN3, NULL2, TMIN2, TZ2, Z2, Z3, all_subsets
 
 # Small associative universes, built once for property tests.
 ASSOC_BINARY2 = list(enumerate_tables(GenSpec(2, 2)))
@@ -42,6 +44,38 @@ def naive_associative(table):
         if len(values) > 1:
             return False
     return True
+
+
+def naive_is_closed(table, sub):
+    """Reference: apply the table to every n-tuple of members."""
+    for tup in itertools.product(sub.elements, repeat=table.arity):
+        if table.apply(*tup) not in sub.members:
+            return False
+    return True
+
+
+def naive_is_commutative(table):
+    """Reference: compare every tuple with each of its adjacent swaps."""
+    for tup in itertools.product(range(table.size), repeat=table.arity):
+        value = table.apply(*tup)
+        for i in range(table.arity - 1):
+            swapped = tup[:i] + (tup[i + 1], tup[i]) + tup[i + 2 :]
+            if table.apply(*swapped) != value:
+                return False
+    return True
+
+
+def naive_enumerate_subuniverses(table, proper_only):
+    """Reference: build every mask's subset in ascending order, keep the closed ones."""
+    full = (1 << table.size) - 1
+    found = []
+    for mask in range(1, full + 1):
+        if proper_only and mask == full:
+            continue
+        sub = Subuniverse.from_mask(table.size, mask)
+        if naive_is_closed(table, sub):
+            found.append(sub)
+    return found
 
 
 def reduce_right(table, values):
@@ -78,6 +112,16 @@ class TestNaryTable:
             NaryTable(2, True, (0,))
         with pytest.raises(ValueError):
             NaryTable(2.0, 2, (0, 0, 0, 0))
+
+    def test_huge_arity_rejected_before_the_power(self, tmp_path):
+        # 3**10**7 has millions of digits; the entry count alone refutes the shape.
+        message = r"needs 3\*\*10000000 entries, got 1"
+        with pytest.raises(ValueError, match=message):
+            NaryTable(10**7, 3, (0,))
+        path = tmp_path / "huge.json"
+        path.write_text('{"arity": 10000000, "size": 3, "table": [0]}')
+        with pytest.raises(ValueError, match=message):
+            load_algebra(str(path))
 
     def test_row_major_layout(self):
         t = NaryTable(2, 3, tuple((a * 3 + b) % 3 for a in range(3) for b in range(3)))
@@ -296,6 +340,15 @@ class TestIsClosed:
     def test_ternary_zero(self):
         assert is_closed(TZ2, Subuniverse(2, frozenset({0})))
 
+    def test_matches_apply_loop(self, predicate_tables):
+        for table in predicate_tables:
+            for sub in all_subsets(table.size):
+                assert is_closed(table, sub) == naive_is_closed(table, sub), (table, sub)
+
+    def test_carrier_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="carrier"):
+            is_closed(MIN3, Subuniverse(2, frozenset({0})))
+
     def test_full_carrier_always_closed(self):
         for table in ASSOC_SMALL:
             full = Subuniverse(table.size, frozenset(range(table.size)))
@@ -318,6 +371,24 @@ class TestEnumerateSubuniverses:
     def test_ascending_mask_order(self):
         masks = [s.mask for s in enumerate_subuniverses(MIN3, False)]
         assert masks == sorted(masks)
+
+    def test_matches_apply_loop(self, predicate_tables):
+        for table in predicate_tables:
+            for proper_only in (True, False):
+                assert enumerate_subuniverses(table, proper_only) == (
+                    naive_enumerate_subuniverses(table, proper_only)
+                ), table
+
+
+class TestIsCommutative:
+    def test_matches_apply_loop(self, predicate_tables):
+        for table in predicate_tables:
+            assert is_commutative(table) == naive_is_commutative(table), table
+        five_ary = [t for t in predicate_tables if t.arity == 5]
+        assert {is_commutative(t) for t in five_ary} == {True, False}
+
+    def test_single_element_table(self):
+        assert is_commutative(NaryTable(4, 1, (0,)))
 
 
 def test_nfold_composition_is_associative():

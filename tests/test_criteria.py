@@ -35,6 +35,7 @@ from conftest import (
     TMIN2,
     TZ2,
     Z2,
+    all_subsets,
 )
 from test_core import ASSOC_SMALL
 
@@ -44,6 +45,28 @@ from test_core import ASSOC_SMALL
 PROJ_KILL = NaryTable.from_function(2, 4, lambda x, y: (x // 2) * 2)
 PROJ_KILL_T = derive_power_algebra(PROJ_KILL, 3)
 PROJ_KILL_SUB = Subuniverse(4, frozenset({0, 2}))
+
+
+def naive_cond2_products(table, sub):
+    """Reference: apply the table to a b^(n-1) and b^(n-1) a."""
+    pad = table.arity - 1
+    for b in sub.elements:
+        for a in range(table.size):
+            if table.apply(a, *([b] * pad)) not in sub.members:
+                return False
+            if table.apply(*([b] * pad), a) not in sub.members:
+                return False
+    return True
+
+
+def naive_cond3_products(table, sub):
+    """Reference: apply the table to every n-tuple meeting the subset."""
+    for tup in itertools.product(range(table.size), repeat=table.arity):
+        if sub.members.isdisjoint(tup):
+            continue
+        if table.apply(*tup) not in sub.members:
+            return False
+    return True
 
 
 class TestCond2:
@@ -57,6 +80,11 @@ class TestCond2:
         # f(1,0,0) = 1
         assert cond2_products(TZ2, SUB0) is False
 
+    def test_matches_apply_loop(self, predicate_tables):
+        for table in predicate_tables:
+            for sub in all_subsets(table.size):
+                assert cond2_products(table, sub) == naive_cond2_products(table, sub), (table, sub)
+
 
 class TestCond3:
     def test_chain_min_pair(self):
@@ -67,6 +95,11 @@ class TestCond3:
 
     def test_ternary_min(self):
         assert cond3_products(TMIN2, SUB0) is True
+
+    def test_matches_apply_loop(self, predicate_tables):
+        for table in predicate_tables:
+            for sub in all_subsets(table.size):
+                assert cond3_products(table, sub) == naive_cond3_products(table, sub), (table, sub)
 
 
 class TestDecideTheorem:

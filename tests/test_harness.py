@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
 import sys
+import time
 
 import pytest
 
@@ -284,6 +286,93 @@ class TestRunCorpus:
         run_corpus(binary3[:8], OracleBounds(), str(clean))
         assert (resumed.status, resumed.tables) == ("consistent", 8)
         assert out.read_bytes() == clean.read_bytes()
+
+
+QUICK = OracleBounds(max_vars=2, max_len=2)
+
+
+def record_checkpoints(monkeypatch, step, report):
+    """Advance time.perf_counter by step on each call and record every
+    checkpoint state run_corpus writes, with the report's size on disk then."""
+    import absorb.harness as harness
+
+    clock = {"now": 0.0}
+
+    def fake_perf_counter():
+        clock["now"] += step
+        return clock["now"]
+
+    written = []
+    real = harness._write_checkpoint
+
+    def recording(path, out, state):
+        real(path, out, state)
+        written.append((dict(state), os.path.getsize(report)))
+
+    monkeypatch.setattr(time, "perf_counter", fake_perf_counter)
+    monkeypatch.setattr(harness, "_write_checkpoint", recording)
+    return written
+
+
+class TestCheckpointThrottle:
+    def test_fewer_checkpoints_than_tables(self, tmp_path, monkeypatch, binary3):
+        out = tmp_path / "report.jsonl"
+        written = record_checkpoints(monkeypatch, step=0.3, report=out)
+        report = run_corpus(binary3, QUICK, str(out))
+        assert report.tables == len(binary3) == 113
+        assert 0 < len(written) < report.tables
+        done = [state["tables_done"] for state, _ in written]
+        assert done == sorted(set(done))
+        body = out.read_bytes()
+        for state, on_disk in written:
+            assert body[state["report_bytes"] - 1 : state["report_bytes"]] == b"\n"
+            assert on_disk >= state["report_bytes"]  # flushed with the checkpoint
+
+    def test_exception_in_table_6_checkpoints_table_5(self, tmp_path, monkeypatch, binary3):
+        import absorb.harness as harness
+
+        out = tmp_path / "report.jsonl"
+        ckpt = tmp_path / "run.ckpt"
+        written = record_checkpoints(monkeypatch, step=0.0, report=out)
+        real = harness.enumerate_subuniverses
+        calls = 0
+
+        def killer(table, proper_only):
+            nonlocal calls
+            calls += 1
+            if calls == 6:
+                raise RuntimeError("table 6")
+            return real(table, proper_only)
+
+        monkeypatch.setattr(harness, "enumerate_subuniverses", killer)
+        with pytest.raises(RuntimeError, match="table 6"):
+            run_corpus(binary3, QUICK, str(out), resume=str(ckpt))
+        assert [state["tables_done"] for state, _ in written] == [5]
+        state = json.loads(ckpt.read_bytes())
+        assert state["tables_done"] == 5
+        assert state["report_bytes"] == len(out.read_bytes())
+
+    def test_hard_kill_resumes_byte_identically(self, tmp_path, monkeypatch, binary3):
+        """A SIGKILL leaves a checkpoint older than the report's end and the
+        report cut inside a record of a later table."""
+        clean = tmp_path / "clean.jsonl"
+        written = record_checkpoints(monkeypatch, step=0.3, report=clean)
+        run_corpus(binary3, QUICK, str(clean))
+        monkeypatch.undo()
+        body = clean.read_bytes()
+        (state, _), (later, _) = written[1], written[3]
+        cut = later["report_bytes"] + 40
+        assert body[later["report_bytes"] : cut].count(b"\n") == 0
+        assert state["report_bytes"] < later["report_bytes"] < cut
+
+        killed = tmp_path / "killed.jsonl"
+        ckpt = tmp_path / "killed.ckpt"
+        killed.write_bytes(body[:cut])
+        ckpt.write_text(json.dumps(state))
+        resumed = run_corpus(binary3, QUICK, str(killed), resume=str(ckpt))
+        assert (resumed.status, resumed.tables) == ("consistent", len(binary3))
+        assert killed.read_bytes() == body
+        assert not ckpt.exists()
 
 
 def flip_to_disagree(monkeypatch, flips):
