@@ -1,7 +1,7 @@
 """Absorption in finite semigroups and n-ary semigroups.
 
 Decide whether a subalgebra absorbs via the product-plus-exponent
-criterion, cross-check against a brute-force absorbing-term oracle, and
+criterion, cross-check against an exact absorbing-term oracle, and
 machine-verify the equivalences over exhaustively enumerated corpora.
 """
 
@@ -60,7 +60,14 @@ from .harness import (
     derived_fact_probes,
     run_corpus,
 )
-from .oracle import Agreement, OracleBounds, OracleOutcome, oracle_agrees, search_absorbing_term
+from .oracle import (
+    Agreement,
+    OracleBounds,
+    OracleOutcome,
+    OracleStop,
+    oracle_agrees,
+    search_absorbing_term,
+)
 from .version import VERSION
 
 __version__ = VERSION
@@ -83,6 +90,7 @@ __all__ = [
     "NotProperSubuniverse",
     "OracleBounds",
     "OracleOutcome",
+    "OracleStop",
     "PairReport",
     "PowerProfile",
     "PreconditionsUnmet",

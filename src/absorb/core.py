@@ -332,10 +332,9 @@ def _relabelings(size: int, arity: int) -> tuple[tuple[tuple[Callable, bytes], .
     return tuple(tuple(_relabeling_maps(size, arity, (a,))) for a in range(size))
 
 
-def canonical_form(table: NaryTable) -> NaryTable:
-    """Lexicographically minimal entry sequence over all element relabelings.
+def _canonical_bytes(table: NaryTable) -> bytes:
+    """The entries of canonical_form(table), without building its table.
 
-    Isomorphic tables map to equal canonical forms; the map is idempotent.
     A relabeling sending a to 0 starts its entries with the new label of
     f(a, ..., a), which is 0 exactly when a is idempotent; so when the table
     has an idempotent, only the relabelings sending one to 0 can be minimal.
@@ -347,7 +346,7 @@ def canonical_form(table: NaryTable) -> NaryTable:
             f"{CANONICAL_PERM_MAX_SIZE}!"
         )
     if m == 1:
-        return table
+        return bytes(table.entries)
     diagonal = (m**n - 1) // (m - 1)  # flat index of (1, ..., 1)
     anchors = [a for a in range(m) if table.entries[a * diagonal] == a] or range(m)
     if math.factorial(m) * m**n <= CANONICAL_CACHE_MAX_ENTRIES:
@@ -356,24 +355,36 @@ def canonical_form(table: NaryTable) -> NaryTable:
     else:
         maps = _relabeling_maps(m, n, anchors)
     raw = bytes(table.entries)
-    best = min(bytes(gather(raw.translate(values))) for gather, values in maps)
-    return NaryTable(n, m, tuple(best))
+    return min(bytes(gather(raw.translate(values))) for gather, values in maps)
+
+
+def canonical_form(table: NaryTable) -> NaryTable:
+    """Lexicographically minimal entry sequence over all element relabelings.
+
+    Isomorphic tables map to equal canonical forms; the map is idempotent.
+    """
+    return NaryTable(table.arity, table.size, tuple(_canonical_bytes(table)))
 
 
 def table_digest(table: NaryTable) -> str:
     """Isomorphism-invariant id when the relabeling budget allows, else raw."""
     if table.size <= CANONICAL_PERM_MAX_SIZE:
-        base = canonical_form(table)
+        entries: Iterable[int] = _canonical_bytes(table)
         prefix = "c"
     else:
-        base = table
+        entries = table.entries
         prefix = "r"
-    return prefix + hashlib.sha256(table_text(base).encode()).hexdigest()[:16]
+    text = _entries_text(table.arity, table.size, entries)
+    return prefix + hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _entries_text(arity: int, size: int, entries: Iterable[int]) -> str:
+    return f"{arity}:{size}:{','.join(map(str, entries))}"
 
 
 def table_text(table: NaryTable) -> str:
     """The raw "arity:size:entries" text that digests and stream hashes read."""
-    return f"{table.arity}:{table.size}:{','.join(map(str, table.entries))}"
+    return _entries_text(table.arity, table.size, table.entries)
 
 
 @dataclass(frozen=True)

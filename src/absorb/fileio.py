@@ -28,9 +28,17 @@ def save_algebra(path: str, table: NaryTable, labels: list[str] | None = None) -
         f.write("\n")
 
 
-def load_algebra(path: str) -> tuple[NaryTable, list[str] | None]:
+def _load_object(path: str) -> dict:
+    """The JSON document of a file, which must be an object."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: the document must be a JSON object")
+    return doc
+
+
+def load_algebra(path: str) -> tuple[NaryTable, list[str] | None]:
+    doc = _load_object(path)
     for key in ("arity", "size", "table"):
         if key not in doc:
             raise ValueError(f"{path}: missing required field {key!r}")
@@ -55,8 +63,7 @@ def save_subuniverse(path: str, sub: Subuniverse) -> None:
 
 
 def load_subuniverse(path: str, carrier_size: int) -> Subuniverse:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = _load_object(path)
     if "elements" not in doc or not isinstance(doc["elements"], list):
         raise ValueError(f"{path}: missing 'elements' integer array")
     try:
@@ -90,8 +97,7 @@ def read_corpus_dir(dirpath: str) -> tuple[list[NaryTable], dict]:
     """Load the tables of a corpus directory in its recorded (or sorted) order."""
     meta_path = os.path.join(dirpath, CORPUS_META)
     if os.path.exists(meta_path):
-        with open(meta_path, encoding="utf-8") as f:
-            meta = json.load(f)
+        meta = _load_object(meta_path)
         files = meta.get("files")
         if files is None:
             raise ValueError(f"{meta_path}: missing 'files' list")

@@ -13,6 +13,7 @@ from .core import (  # CANONICAL_PERM_MAX_SIZE and canonical_form are re-exporte
     CANONICAL_PERM_MAX_SIZE,
     NaryTable,
     Subuniverse,
+    _canonical_bytes,
     canonical_form,
     enumerate_subuniverses,
     is_associative,
@@ -274,9 +275,9 @@ def enumerate_tables(spec: GenSpec) -> Iterator[NaryTable]:
 
 
 def _dedup_canonical(stream: Iterable[NaryTable]) -> Iterator[NaryTable]:
-    seen: set[tuple[int, ...]] = set()
+    seen: set[bytes] = set()
     for table in stream:
-        key = canonical_form(table).entries
+        key = _canonical_bytes(table)
         if key not in seen:
             seen.add(key)
             yield table

@@ -42,7 +42,7 @@ from .generate import GENERATOR_NAME, GenSpec, enumerate_tables
 from .oracle import Agreement, OracleBounds, OracleOutcome, oracle_agrees, search_absorbing_term
 from .version import VERSION
 
-REPORT_FORMAT = "absorb-report/1"
+REPORT_FORMAT = "absorb-report/2"
 
 STATUS_CONSISTENT = "consistent"
 STATUS_CANDIDATE = "counterexample-candidate"
@@ -136,6 +136,7 @@ def oracle_record(outcome: OracleOutcome) -> dict:
         "found": outcome.found,
         "witness": word_record(outcome.witness),
         "words_examined": outcome.words_examined,
+        "stop": outcome.stop.value,
     }
 
 
@@ -298,7 +299,6 @@ def _header_record(source_echo: dict, bounds: OracleBounds, meta: dict | None) -
         "bounds": asdict(bounds),
         "defaults": {
             **asdict(OracleBounds()),
-            "max_len": OracleBounds.DEFAULT_MAX_LEN_TEXT,
             "proper_only": True,
             "generator": GENERATOR_NAME,
         },

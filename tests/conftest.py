@@ -100,7 +100,7 @@ def check_corpus(tables, bounds=None, per_table_bounds=None):
     cache = {}
     for table in tables:
         b = per_table_bounds(table) if per_table_bounds is not None else bounds
-        bkey = (b.max_vars, b.max_len, b.allow_trivial)
+        bkey = (b.max_vars, b.max_len)
         for sub in enumerate_subuniverses(table, True):
             key = (table.arity, table.entries, sub.mask, bkey)
             report = cache.get(key)

@@ -125,6 +125,29 @@ class TestCheck:
         code = main(["check", "--algebra", "nope.json", "--sub", files["sub0"]])
         assert code == 1
 
+    @pytest.mark.parametrize("document", ['"arity size table"', '["elements"]', "3"])
+    def test_non_object_document_is_rejected(self, capsys, files, tmp_path, document):
+        bad = tmp_path / "bad.json"
+        bad.write_text(document)
+        for argv in (
+            ["check", "--algebra", str(bad), "--sub", files["sub0"]],
+            ["check", "--algebra", files["min"], "--sub", str(bad)],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {bad}: the document must be a JSON object\n"
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            load_algebra(str(bad))
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            load_subuniverse(str(bad), 2)
+        corpus = tmp_path / "corpus"
+        write_corpus_dir(str(corpus), GenSpec(2, 2), [MIN2])
+        (corpus / "corpus.json").write_text(document)
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            read_corpus_dir(str(corpus))
+        code = main(["verify-conjecture", "--corpus", str(corpus), "--report", str(tmp_path / "r")])
+        assert code == 1
+
 
 class TestExponent:
     def test_z2(self, capsys, files):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -34,12 +35,12 @@ FACT_NAMES = ["abbab", "babba", "aab", "baa", "aabaa", "bab", "abb", "bba"]
 
 # sha256 of each OracleBounds() report with its header line dropped, since
 # the header carries the package version.  The ternary power corpus is the
-# one whose oracle scans three variables up to length 9.
+# one whose oracle closes the most three-variable terms.
 REPORT_BODY_SHA256 = {
-    GenSpec(2, 2): "be644e0902e943d723db4cc9f95d796427dae3cb94a67fd0812513a3301801f7",
-    GenSpec(3, 2): "014d63e2b975bf4630d53ca33f415bf0c1e8f2fa8d7066d61571809645c5274a",
-    GenSpec(2, 3): "474a2f5bf1e3829994a7ead3afeba04b867f28f909cd050fb68b89d86f557a80",
-    GenSpec(3, 3, mode="power"): "087f9be34e51c09430b8bf6d8febc60ea76f3e79110ad3980ae4d578a356345b",
+    GenSpec(2, 2): "56bd9a942e6c6bbd0b51a956e05261ab953d10df260c2b40c706bc79b3f1aa36",
+    GenSpec(3, 2): "ad284b5b1f4d7656fe4c6b07f7dd94149472f3ab2adeea5aa140fa32b63cacbc",
+    GenSpec(2, 3): "2beae4b5fa53af490e3cba9edc4c422651537d99c47b93897d9ee6139ac90ac5",
+    GenSpec(3, 3, mode="power"): "efc34874f4fb2aa75acf7af77d8e37483918758e05fa5cf36ad326348ef91cc9",
 }
 
 TABLE_FACT_FUNCTIONS = ("is_associative", "table_digest", "is_commutative", "is_idempotent")
@@ -188,7 +189,7 @@ class TestRunCorpus:
 
         lines = read_report(out)
         assert lines[0]["type"] == "header"
-        assert lines[0]["bounds"] == {"max_vars": 3, "max_len": None, "allow_trivial": False}
+        assert lines[0]["bounds"] == {"max_vars": 3, "max_len": None}
         assert "defaults" in lines[0]
         assert lines[-1]["type"] == "summary"
         assert lines[-1]["status"] == "consistent"
@@ -451,14 +452,21 @@ class TestReportPins:
                 reports[spec] = path.read_bytes()
         power = [json.loads(line) for line in reports[GenSpec(3, 3, mode="power")].splitlines()]
         pairs = [r for r in power if r["type"] == "pair"]
-        assert sum(r["oracle"]["words_examined"] for r in pairs) == 754_377
+        assert sum(r["oracle"]["words_examined"] for r in pairs) == 10_833
         assert sum(r["oracle"]["found"] for r in pairs) == 57
+        stops = collections.Counter(r["oracle"]["stop"] for r in pairs)
+        assert stops == {"Found": 57, "NoIdempotentTerm": 243, "ClosureExhausted": 207}
+        # every conjectural pair is settled by the missing exponent
+        conjectural = [r for r in pairs if r["case"] == "Conjectural"]
+        assert len(conjectural) == 48
+        assert all(r["oracle"]["stop"] == "NoIdempotentTerm" for r in conjectural)
+        assert all(r["agreement"] == "Agree" for r in pairs)
         for key, data in reports.items():
             header, body = data.split(b"\n", 1)
+            assert json.loads(header)["format"] == "absorb-report/2"
             assert json.loads(header)["defaults"] == {
                 "max_vars": 3,
-                "max_len": "max(9,k)",
-                "allow_trivial": False,
+                "max_len": None,
                 "proper_only": True,
                 "generator": "mt19937",
             }

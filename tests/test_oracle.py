@@ -1,16 +1,24 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from absorb import (
     Agreement,
+    CaseTag,
+    FailedCondition,
     GenSpec,
+    NaryTable,
     NotClosed,
     NotProperSubuniverse,
     OracleBounds,
+    OracleOutcome,
+    OracleStop,
     Subuniverse,
     Word,
     compute_exponent,
     decide_theorem,
+    derive_power_algebra,
     element_power,
     enumerate_pairs,
     enumerate_tables,
@@ -19,28 +27,35 @@ from absorb import (
     verify_witness,
 )
 from absorb.core import length_evaluable
-from absorb.criteria import absorption_conditions_hold
-from absorb.oracle import _WordWalk, powers_fix_all
 from conftest import LEFT_ZERO, MIN2, SUB0, Z2
 from test_core import ASSOC_SMALL
 from test_criteria import PROJ_KILL_SUB, PROJ_KILL_T
 
 SMALL_PAIRS = list(enumerate_pairs(ASSOC_SMALL))
 
-# Binary sizes 2-3, ternary size 2 and a slice of the ternary power tables of size 3.
-KERNEL_PAIRS = list(
+# Every pair of binary sizes 2-3 and ternary size 2.
+RAW_PAIRS = list(
     enumerate_pairs(
         list(enumerate_tables(GenSpec(2, 2)))
         + list(enumerate_tables(GenSpec(3, 2)))
         + list(enumerate_tables(GenSpec(2, 3)))
-        + list(enumerate_tables(GenSpec(3, 3, mode="power")))[::8]
     )
 )
 
+# RAW_PAIRS and a slice of the ternary power tables of size 3.
+KERNEL_PAIRS = RAW_PAIRS + list(
+    enumerate_pairs(list(enumerate_tables(GenSpec(3, 3, mode="power")))[::8])
+)
+
+# A conjectural pair whose table has an exponent (k = 5): the 5-ary power
+# of an idempotent binary table whose products escape B = {0}.
+EXP_T = derive_power_algebra(NaryTable(2, 3, (0, 0, 0, 0, 1, 0, 2, 2, 2)), 5)
+EXP_SUB = Subuniverse(3, frozenset({0}))
+
 
 def canonical_letter_seqs(length, max_vars):
-    """Restricted-growth sequences in lexicographic order: the word order the
-    walk must keep, enumerated one word at a time."""
+    """Restricted-growth sequences in lexicographic order: every word up to
+    renaming its variables by first occurrence."""
     seq = [0] * length
 
     def rec(pos, used):
@@ -54,19 +69,16 @@ def canonical_letter_seqs(length, max_vars):
     yield from rec(0, 0)
 
 
-def reference_search(table, sub, bounds):
-    """The pruned scan word by word with absorption_conditions_hold, as it
-    was before the walk: (witness letters or None, words examined)."""
-    k = compute_exponent(table)
-    examined = 0
-    for q in range(1 if bounds.allow_trivial else 2, bounds.resolved_max_len(k) + 1):
-        if not length_evaluable(q, table.arity) or not powers_fix_all(q, k):
+def shortest_absorbing_length(table, sub, max_vars, max_len):
+    """Length of the shortest absorbing canonical word, checked word by word
+    with verify_witness, or None if there is none up to max_len."""
+    for q in range(2, max_len + 1):
+        if not length_evaluable(q, table.arity):
             continue
-        for letters in canonical_letter_seqs(q, bounds.max_vars):
-            examined += 1
-            if absorption_conditions_hold(table, sub, letters, max(letters) + 1):
-                return letters, examined
-    return None, examined
+        for letters in canonical_letter_seqs(q, max_vars):
+            if verify_witness(table, sub, Word(max(letters) + 1, letters)):
+                return q
+    return None
 
 
 class TestSearch:
@@ -74,15 +86,18 @@ class TestSearch:
         out = search_absorbing_term(MIN2, SUB0)
         assert out.found
         assert out.witness == Word(2, (0, 1))
+        assert out.stop is OracleStop.FOUND
 
     def test_left_zero_exhausts(self):
         out = search_absorbing_term(LEFT_ZERO, SUB0)
         assert not out.found
         assert out.witness is None
+        assert out.stop is OracleStop.CLOSURE_EXHAUSTED
 
     def test_z2_exhausts(self):
         out = search_absorbing_term(Z2, SUB0)
         assert not out.found
+        assert out.stop is OracleStop.CLOSURE_EXHAUSTED
 
     def test_found_witness_verifies(self):
         for table, sub in SMALL_PAIRS:
@@ -104,15 +119,6 @@ class TestSearch:
             b = search_absorbing_term(table, sub)
             assert a == b
 
-    def test_trivial_length_only_when_allowed(self):
-        bounds = OracleBounds(max_vars=1, max_len=2, allow_trivial=True)
-        out = search_absorbing_term(MIN2, SUB0, bounds)
-        assert not out.found
-        assert out.words_examined == 2  # the words x and xx
-        bounds = OracleBounds(max_vars=1, max_len=2)
-        out = search_absorbing_term(MIN2, SUB0, bounds)
-        assert out.words_examined == 1  # xx only
-
     @given(data=st.data())
     def test_monotone_in_bounds(self, data):
         table, sub = data.draw(st.sampled_from(SMALL_PAIRS))
@@ -121,21 +127,22 @@ class TestSearch:
         if search_absorbing_term(table, sub, small).found:
             assert search_absorbing_term(table, sub, large).found
 
-    def test_length_prune_matches_element_powers(self):
-        # element_power is the reference for prune (c): a^q = a for all a
-        tables = (
-            list(enumerate_tables(GenSpec(3, 2)))
-            + list(enumerate_tables(GenSpec(3, 3, mode="power")))
-            + list(enumerate_tables(GenSpec(2, 4, mode="power")))
-        )
-        assert len(tables) == 234
+    def test_length_prune_matches_element_powers(
+        self, binary2, binary3, binary4, ternary2
+    ):
+        # A table without an exponent stops the search before any length:
+        # a word of length q is idempotent iff a^q = a for every a, and
+        # element_power, the reference, shows some a^q != a for every q.
+        tables = [t for t in binary2 + binary3 + binary4 + ternary2 if compute_exponent(t) is None]
+        assert len(tables) == 2_615
         for table in tables:
-            k = compute_exponent(table)
-            for q in range(1, 40):
-                if not length_evaluable(q, table.arity):
-                    continue
-                expected = all(element_power(table, a, q) == a for a in range(table.size))
-                assert powers_fix_all(q, k) == expected, (table, q)
+            for q in range(2, 14):
+                if length_evaluable(q, table.arity):
+                    assert any(element_power(table, a, q) != a for a in range(table.size)), (table, q)
+        for table, sub in enumerate_pairs(tables[::50]):
+            assert search_absorbing_term(table, sub) == OracleOutcome(
+                None, 0, OracleStop.NO_IDEMPOTENT_TERM
+            )
 
     def test_pruning_never_changes_classification(self):
         # unpruned scans every sequence over max_vars declared variables
@@ -147,47 +154,71 @@ class TestSearch:
             assert pruned.words_examined <= raw.words_examined
 
 
-class TestWordWalk:
-    def test_per_word_verdicts_match_definition(self):
-        # every canonical word with max_vars=3 and length <= 7, lengths the
-        # search would skip included
-        assert len(KERNEL_PAIRS) == 558
-        for table, sub in KERNEL_PAIRS:
-            walk = _WordWalk(table, sub, 3)
-            for q in range(1, 8):
-                if not length_evaluable(q, table.arity):
-                    continue
-                verdicts = list(walk._verdicts(q))
-                assert [letters for letters, _ in verdicts] == list(canonical_letter_seqs(q, 3))
-                for letters, absorbs in verdicts:
-                    expected = absorption_conditions_hold(table, sub, letters, max(letters) + 1)
-                    assert absorbs == expected, (table, sub, letters)
+class TestClosure:
+    def test_matches_raw_scan(self):
+        assert len(RAW_PAIRS) == 489
+        bounds = OracleBounds(max_vars=2, max_len=5)
+        for table, sub in RAW_PAIRS:
+            closure = search_absorbing_term(table, sub, bounds)
+            raw = search_absorbing_term(table, sub, bounds, prune=False)
+            assert closure.found == raw.found, (table, sub)
+            if closure.found:
+                assert closure.witness.length <= raw.witness.length, (table, sub)
 
-    def test_search_matches_reference_scan(self):
-        for bounds in (OracleBounds(max_len=7), OracleBounds(max_vars=2, max_len=5, allow_trivial=True)):
-            for table, sub in KERNEL_PAIRS:
-                letters, examined = reference_search(table, sub, bounds)
-                out = search_absorbing_term(table, sub, bounds)
-                assert out.words_examined == examined, (table, sub)
-                assert (out.witness and out.witness.letters) == letters, (table, sub)
-                if letters is not None:
-                    assert out.witness.num_vars == max(letters) + 1
+    def test_matches_reference_scan(self):
+        # the closure's witness is a shortest absorbing word, with its
+        # variables named by first occurrence
+        assert len(KERNEL_PAIRS) == 558
+        bounds = OracleBounds(max_vars=3, max_len=7)
+        for table, sub in KERNEL_PAIRS:
+            out = search_absorbing_term(table, sub, bounds)
+            expected = shortest_absorbing_length(table, sub, 3, 7)
+            assert (out.witness and out.witness.length) == expected, (table, sub)
+            if out.found:
+                letters = out.witness.letters
+                assert letters in set(canonical_letter_seqs(len(letters), 3))
+                assert out.witness.num_vars == max(letters) + 1
+
+    def test_length_bound_then_exhausted(self):
+        # Z2 with B = {0}: k = 3, and no term absorbs
+        capped = search_absorbing_term(Z2, SUB0, OracleBounds(max_len=2))
+        assert capped.stop is OracleStop.LENGTH_BOUND
+        assert capped.words_examined == 3  # xx, xy and xz
+        full = search_absorbing_term(Z2, SUB0, OracleBounds(max_len=None))
+        assert full.stop is OracleStop.CLOSURE_EXHAUSTED
+        assert full.words_examined > capped.words_examined
+
+    def test_cap_below_the_first_layer(self):
+        out = search_absorbing_term(EXP_T, EXP_SUB, OracleBounds(max_len=4))
+        assert out == OracleOutcome(None, 0, OracleStop.LENGTH_BOUND)
+
+    def test_raw_scan_needs_a_length_cap(self):
+        with pytest.raises(ValueError):
+            search_absorbing_term(MIN2, SUB0, OracleBounds(max_len=None), prune=False)
 
 
 class TestBounds:
     def test_default_resolution(self):
-        b = OracleBounds()
-        assert b.resolved_max_len(None) == 9
-        assert b.resolved_max_len(3) == 9
-        assert b.resolved_max_len(12) == 12
-        assert OracleBounds(max_len=4).resolved_max_len(12) == 4
+        # max_len=None does not resolve to a length: the closure runs until
+        # it is exhausted
+        assert [f.name for f in dataclasses.fields(OracleBounds)] == ["max_vars", "max_len"]
+        assert OracleBounds() == OracleBounds(max_vars=3, max_len=None)
+        assert search_absorbing_term(LEFT_ZERO, SUB0).stop is OracleStop.CLOSURE_EXHAUSTED
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            OracleBounds(max_vars=0)
-        with pytest.raises(ValueError):
-            OracleBounds(max_len=1)
-        OracleBounds(max_len=1, allow_trivial=True)
+        for kwargs in (
+            {"max_vars": 0},
+            {"max_vars": True},
+            {"max_vars": 2.0},
+            {"max_vars": "3"},
+            {"max_len": 1},
+            {"max_len": 2.5},
+            {"max_len": True},
+            {"max_len": "9"},
+        ):
+            with pytest.raises(ValueError):
+                OracleBounds(**kwargs)
+        OracleBounds(max_vars=1, max_len=2)
 
 
 class TestAgreement:
@@ -199,11 +230,41 @@ class TestAgreement:
         v = decide_theorem(LEFT_ZERO, SUB0)
         assert oracle_agrees(LEFT_ZERO, SUB0, OracleBounds(), v) is Agreement.AGREE
 
-    def test_conjectural_none_is_unresolved(self):
+    def test_conjectural_without_exponent_agrees(self):
         v = decide_theorem(PROJ_KILL_T, PROJ_KILL_SUB)
         assert not v.absorbs
-        tag = oracle_agrees(PROJ_KILL_T, PROJ_KILL_SUB, OracleBounds(), v)
-        assert tag is Agreement.UNRESOLVED
+        assert v.proof_status is CaseTag.CONJECTURAL
+        out = search_absorbing_term(PROJ_KILL_T, PROJ_KILL_SUB)
+        assert out == OracleOutcome(None, 0, OracleStop.NO_IDEMPOTENT_TERM)
+        tag = oracle_agrees(PROJ_KILL_T, PROJ_KILL_SUB, OracleBounds(), v, outcome=out)
+        assert tag is Agreement.AGREE
+
+    def test_conjectural_with_exponent_is_unresolved(self):
+        v = decide_theorem(EXP_T, EXP_SUB)
+        assert (v.exponent_k, v.failed_condition) == (5, FailedCondition.PRODUCTS_ESCAPE_B)
+        assert v.proof_status is CaseTag.CONJECTURAL
+        out = search_absorbing_term(EXP_T, EXP_SUB)
+        assert out.stop is OracleStop.CLOSURE_EXHAUSTED
+        assert oracle_agrees(EXP_T, EXP_SUB, OracleBounds(), v, outcome=out) is Agreement.UNRESOLVED
+
+    def test_no_idempotent_term_contradicts_an_absorbing_verdict(self):
+        v = decide_theorem(MIN2, SUB0)
+        out = OracleOutcome(None, 0, OracleStop.NO_IDEMPOTENT_TERM)
+        assert oracle_agrees(MIN2, SUB0, OracleBounds(), v, outcome=out) is Agreement.DISAGREE
+
+    def test_length_bound_is_adequate_only_from_k(self):
+        # Z2 with B = {0}: a proved negative verdict with k = 3
+        v = decide_theorem(Z2, SUB0)
+        assert v.exponent_k == 3
+        for max_len, expected in ((2, Agreement.UNRESOLVED), (3, Agreement.AGREE)):
+            bounds = OracleBounds(max_len=max_len)
+            out = search_absorbing_term(Z2, SUB0, bounds)
+            assert out.stop is OracleStop.LENGTH_BOUND
+            assert oracle_agrees(Z2, SUB0, bounds, v, outcome=out) is expected
+        bounds = OracleBounds(max_vars=1)
+        out = search_absorbing_term(Z2, SUB0, bounds)
+        assert out.stop is OracleStop.CLOSURE_EXHAUSTED
+        assert oracle_agrees(Z2, SUB0, bounds, v, outcome=out) is Agreement.UNRESOLVED
 
     def test_precomputed_outcome_matches_internal_search(self):
         v = decide_theorem(Z2, SUB0)
