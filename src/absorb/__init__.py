@@ -54,18 +54,19 @@ from .generate import (
     random_filtered,
 )
 from .harness import (
+    Agreement,
     CorpusReport,
     PairReport,
     check_pair,
     derived_fact_probes,
+    oracle_agrees,
     run_corpus,
 )
 from .oracle import (
-    Agreement,
     OracleBounds,
     OracleOutcome,
     OracleStop,
-    oracle_agrees,
+    scan_words,
     search_absorbing_term,
 )
 from .version import VERSION
@@ -120,6 +121,7 @@ __all__ = [
     "power_profile",
     "random_filtered",
     "run_corpus",
+    "scan_words",
     "search_absorbing_term",
     "table_digest",
     "table_facts",

@@ -11,13 +11,20 @@ import json
 import sys
 from dataclasses import asdict, fields
 
-from .core import compute_exponent, is_associative, power_profile
+from .core import compute_exponent, is_associative, power_profile, table_facts
 from .criteria import decide_theorem, derive_power_algebra
 from .errors import AbsorbError
 from .fileio import load_algebra, load_subuniverse, read_corpus_dir, save_algebra, write_corpus_dir
 from .generate import MODES, GenSpec, enumerate_tables
-from .harness import STATUS_CONSISTENT, oracle_record, run_corpus, table_digest, verdict_record
-from .oracle import Agreement, OracleBounds, oracle_agrees, search_absorbing_term
+from .harness import (
+    STATUS_CONSISTENT,
+    Agreement,
+    check_pair,
+    oracle_record,
+    run_corpus,
+    verdict_record,
+)
+from .oracle import OracleBounds, search_absorbing_term
 from .version import VERSION
 
 
@@ -29,8 +36,9 @@ def _emit(doc: dict) -> None:
 def _cmd_check(args) -> int:
     table, _labels = load_algebra(args.algebra)
     sub = load_subuniverse(args.sub, table.size)
+    facts = table_facts(table)
     doc: dict = {
-        "algebra": {"arity": table.arity, "size": table.size, "id": table_digest(table)},
+        "algebra": {"arity": table.arity, "size": table.size, "id": facts.digest},
         "sub": list(sub.elements),
         "method": args.method,
     }
@@ -42,18 +50,17 @@ def _cmd_check(args) -> int:
         _emit(doc)
         return 0
     bounds = OracleBounds(max_vars=args.max_vars, max_len=args.max_len)
-    verdict = outcome = None
-    if args.method in ("theorem", "both"):
-        verdict = decide_theorem(table, sub)
-        doc["theorem"] = verdict_record(verdict)
-    if args.method in ("oracle", "both"):
-        outcome = search_absorbing_term(table, sub, bounds)
-        doc["oracle"] = oracle_record(outcome)
     code = 0
-    if args.method == "both":
-        agreement = oracle_agrees(table, sub, bounds, verdict, outcome=outcome)
-        doc["agreement"] = agreement.value
-        if agreement is Agreement.DISAGREE:
+    if args.method == "theorem":
+        doc["theorem"] = verdict_record(decide_theorem(facts, sub))
+    elif args.method == "oracle":
+        doc["oracle"] = oracle_record(search_absorbing_term(table, sub, bounds))
+    else:
+        pair = check_pair(facts, sub, bounds)
+        doc["theorem"] = verdict_record(pair.verdict)
+        doc["oracle"] = oracle_record(pair.oracle)
+        doc["agreement"] = pair.agreement.value
+        if pair.agreement is Agreement.DISAGREE:
             code = 2
     _emit(doc)
     return code

@@ -142,12 +142,6 @@ class Word:
     def length(self) -> int:
         return len(self.letters)
 
-    def occurrences(self) -> tuple[int, ...]:
-        counts = [0] * self.num_vars
-        for l in self.letters:
-            counts[l] += 1
-        return tuple(counts)
-
     def __str__(self) -> str:
         if self.num_vars <= len(_VAR_NAMES):
             return "".join(_VAR_NAMES[l] for l in self.letters)

@@ -4,6 +4,7 @@ power-derived families, seeded random sampling, and canonical forms."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import warnings
 from dataclasses import asdict, dataclass
@@ -159,11 +160,16 @@ def _backtrack_tables(
     commutative filter is on) and a partial table is pruned as soon as any
     fully-determined associativity instance fails.
     """
-    units, forced = _cell_units(size, arity, idempotent, commutative)
-    if len(units) > MAX_FREE_CELLS:
+    # The unit count of _cell_units, before it builds one cell per n-tuple:
+    # commutativity leaves one unit per multiset, idempotence pins m of them.
+    free = math.comb(size + arity - 1, arity) if commutative else size**arity
+    if idempotent:
+        free -= size
+    if free > MAX_FREE_CELLS:
         raise BudgetExceeded(
-            f"{len(units)} free cells exceed the backtracking budget of {MAX_FREE_CELLS}"
+            f"{free} free cells exceed the backtracking budget of {MAX_FREE_CELLS}"
         )
+    units, forced = _cell_units(size, arity, idempotent, commutative)
     instances, triggers = _assoc_instances(size, arity)
     cells: list[int | None] = [None] * (size**arity)
     for c, v in forced.items():

@@ -1,6 +1,8 @@
 """Conjecture-verification pipeline.
 
-check_pair runs both decision routes on one (table, sub) pair; run_corpus
+check_pair runs both decision routes on one (table, sub) pair and its
+PairReport says what the pair means: whether the two routes agree, which
+proved facts it violates, and whether it is a counterexample.  run_corpus
 streams pairs from a generator or an explicit table list, writes one
 self-contained JSON record per line, keeps a throttled checkpoint so an
 interrupted run resumes byte-identically, and classifies the outcome
@@ -9,12 +11,14 @@ interrupted run resumes byte-identically, and classifies the outcome
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import os
 import time
 from dataclasses import asdict, dataclass, field
+from enum import Enum
 from typing import BinaryIO, Iterable, Iterator
 
 from .core import (  # table_digest is re-exported
@@ -39,7 +43,7 @@ from .criteria import (
 )
 from .errors import NotAssociative, NotClosed, NotProperSubuniverse, PreconditionsUnmet
 from .generate import GENERATOR_NAME, GenSpec, enumerate_tables
-from .oracle import Agreement, OracleBounds, OracleOutcome, oracle_agrees, search_absorbing_term
+from .oracle import OracleBounds, OracleOutcome, OracleStop, search_absorbing_term
 from .version import VERSION
 
 REPORT_FORMAT = "absorb-report/2"
@@ -66,6 +70,43 @@ _FACT_PATTERNS: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 
+class Agreement(str, Enum):
+    AGREE = "Agree"
+    DISAGREE = "Disagree"
+    UNRESOLVED = "Unresolved"
+
+
+def oracle_agrees(
+    verdict: AbsorptionVerdict, outcome: OracleOutcome, bounds: OracleBounds
+) -> Agreement:
+    """Compare the criterion verdict with the oracle outcome.
+
+    NoIdempotentTerm proves that no proper B absorbs, so it settles every
+    verdict.  Any other negative outcome corroborates a negative verdict
+    only when the verdict is theorem-backed and the search provably covers
+    the constructed witness x^(k-1)y: max_vars >= 2, and the closure was
+    exhausted or max_len >= k.  Otherwise it stays Unresolved.  An
+    absorbing verdict the oracle cannot confirm under such bounds is a
+    Disagree: the witness is a theorem for every arity.
+    """
+    if outcome.found:
+        return Agreement.AGREE if verdict.absorbs else Agreement.DISAGREE
+    if outcome.stop is OracleStop.NO_IDEMPOTENT_TERM:
+        return Agreement.DISAGREE if verdict.absorbs else Agreement.AGREE
+    k = verdict.exponent_k
+    covers_k = (
+        outcome.stop is OracleStop.CLOSURE_EXHAUSTED
+        or k is None
+        or (bounds.max_len is not None and bounds.max_len >= k)
+    )
+    adequate = bounds.max_vars >= 2 and covers_k
+    if verdict.absorbs:
+        return Agreement.DISAGREE if adequate else Agreement.UNRESOLVED
+    if verdict.proof_status.is_proved() and adequate:
+        return Agreement.AGREE
+    return Agreement.UNRESOLVED
+
+
 @dataclass(frozen=True)
 class PairReport:
     """Everything both decision routes said about one (table, sub) pair."""
@@ -82,17 +123,46 @@ class PairReport:
     def cond2(self) -> bool:
         return self.verdict.failed_condition is not FailedCondition.PRODUCTS_ESCAPE_B
 
-    @property
-    def exponent_k(self) -> int | None:
-        return self.verdict.exponent_k
+    @functools.cached_property
+    def violations(self) -> tuple[str, ...]:
+        """Inconsistencies with theorem-level facts; any entry is fatal.
+
+        Covers the proved implication chain on the pair itself plus the two
+        proved-case disagreement flavors.
+        """
+        table, sub, verdict = self.table, self.sub, self.verdict
+        k = verdict.exponent_k
+        verified: dict[Word, bool] = {}  # an absorbing verdict carries the constructed witness
+
+        def rejected(word: Word) -> bool:
+            if word not in verified:
+                verified[word] = verify_witness(table, sub, word)
+            return not verified[word]
+
+        msgs = []
+        if self.cond2 and k is not None and not self.cond3:
+            msgs.append("cond2 with exponent but cond3 fails")
+        if self.cond3 and k is not None:
+            if rejected(construct_witness(table, sub, k)):
+                msgs.append("cond3 with exponent but constructed witness rejected")
+        if verdict.absorbs and rejected(verdict.witness):
+            msgs.append("absorbing verdict carries a rejected witness")
+        if self.agreement is Agreement.DISAGREE:
+            if verdict.absorbs:
+                msgs.append("criterion absorbs but oracle found nothing within adequate bounds")
+            elif verdict.proof_status.is_proved():
+                msgs.append("oracle witness contradicts a proved-case negative verdict")
+        return tuple(msgs)
 
     @property
-    def case(self) -> CaseTag:
-        return self.verdict.proof_status
-
-    @property
-    def sub_mask(self) -> int:
-        return self.sub.mask
+    def counterexample(self) -> bool:
+        """Any violation, or an oracle hit against a conjectural negative
+        verdict: a research finding, not an implementation bug."""
+        return bool(self.violations) or (
+            self.agreement is Agreement.DISAGREE
+            and not self.verdict.absorbs
+            and not self.verdict.proof_status.is_proved()
+        )
 
     def to_record(self) -> dict:
         return {
@@ -102,14 +172,17 @@ class PairReport:
             "size": self.table.size,
             "table": list(self.table.entries),
             "sub": list(self.sub.elements),
-            "sub_mask": self.sub_mask,
+            "sub_mask": self.sub.mask,
             "cond2": self.cond2,
             "cond3": self.cond3,
-            "exponent_k": self.exponent_k,
+            "exponent_k": self.verdict.exponent_k,
             "verdict": verdict_record(self.verdict),
             "oracle": oracle_record(self.oracle),
             "agreement": self.agreement.value,
-            "case": self.case.value,
+            "case": self.verdict.proof_status.value,
+            "counterexample": self.counterexample,
+            "fatal": bool(self.violations),
+            "violations": list(self.violations),
         }
 
 
@@ -145,9 +218,6 @@ class CorpusReport:
     """Aggregate of a corpus run, tallied record by record; wall_time never
     enters the report file."""
 
-    source: dict
-    bounds: dict
-    report_path: str
     tables: int = 0
     pairs: int = 0
     agreements: dict[str, int] = field(default_factory=lambda: {a.value: 0 for a in Agreement})
@@ -198,7 +268,6 @@ def check_pair(
     table = facts.table
     verdict = decide_theorem(facts, sub)
     outcome = search_absorbing_term(table, sub, bounds)
-    agreement = oracle_agrees(table, sub, bounds, verdict, outcome=outcome)
     return PairReport(
         table=table,
         sub=sub,
@@ -206,47 +275,7 @@ def check_pair(
         cond3=cond3_products(table, sub),
         verdict=verdict,
         oracle=outcome,
-        agreement=agreement,
-    )
-
-
-def proved_violations(report: PairReport) -> list[str]:
-    """Inconsistencies with theorem-level facts; any entry is fatal.
-
-    Covers the proved implication chain on the pair itself plus the two
-    proved-case disagreement flavors.
-    """
-    table, sub = report.table, report.sub
-    verified: dict[Word, bool] = {}  # an absorbing verdict carries the constructed witness
-
-    def rejected(word: Word) -> bool:
-        if word not in verified:
-            verified[word] = verify_witness(table, sub, word)
-        return not verified[word]
-
-    msgs = []
-    if report.cond2 and report.exponent_k is not None and not report.cond3:
-        msgs.append("cond2 with exponent but cond3 fails")
-    if report.cond3 and report.exponent_k is not None:
-        if rejected(construct_witness(table, sub, report.exponent_k)):
-            msgs.append("cond3 with exponent but constructed witness rejected")
-    if report.verdict.absorbs and rejected(report.verdict.witness):
-        msgs.append("absorbing verdict carries a rejected witness")
-    if report.agreement is Agreement.DISAGREE:
-        if report.verdict.absorbs:
-            msgs.append("criterion absorbs but oracle found nothing within adequate bounds")
-        elif report.case.is_proved():
-            msgs.append("oracle witness contradicts a proved-case negative verdict")
-    return msgs
-
-
-def is_conjecture_candidate(report: PairReport) -> bool:
-    """Oracle hit against a conjectural negative verdict: a research finding,
-    not an implementation bug."""
-    return (
-        report.agreement is Agreement.DISAGREE
-        and not report.verdict.absorbs
-        and not report.case.is_proved()
+        agreement=oracle_agrees(verdict, outcome, bounds),
     )
 
 
@@ -346,7 +375,7 @@ def run_corpus(
     fingerprint = hashlib.sha256(header_bytes).hexdigest()
     ckpt_path = resume if resume is not None else out_path + ".ckpt"
 
-    report = CorpusReport(source=source_echo, bounds=asdict(bounds), report_path=out_path)
+    report = CorpusReport()
     # Raw entries, not table_digest: a relabeled table stream must not match.
     stream_hash = hashlib.sha256()
     skip_tables = 0
@@ -385,14 +414,10 @@ def run_corpus(
             facts = table_facts(table)
             for sub in enumerate_subuniverses(table, proper_only=True):
                 pair = check_pair(facts, sub, bounds)
-                violations = proved_violations(pair)
                 record = pair.to_record()
-                record["counterexample"] = bool(violations) or is_conjecture_candidate(pair)
-                record["fatal"] = bool(violations)
-                record["violations"] = violations
                 out.write(_dump(record))
                 report.add_record(record)
-                if violations:
+                if pair.violations:
                     aborted = True
                     break
             report.tables += 1

@@ -3,7 +3,8 @@
 The ground-truth side of every equivalence check: close the term
 operations in at most max_vars variables under one more application of the
 operation, breadth-first, and return the first one the definition accepts,
-with no reference to the product criteria.
+with no reference to the product criteria.  scan_words is the raw
+word-by-word reference the closure is tested against.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import NaryTable, Subuniverse, Word, compute_exponent, is_closed, length_evaluable
-from .criteria import AbsorptionVerdict, verify_witness
+from .criteria import verify_witness
 from .errors import NotClosed, NotProperSubuniverse
 
 
@@ -55,12 +56,6 @@ class OracleOutcome:
         return self.witness is not None
 
 
-class Agreement(str, Enum):
-    AGREE = "Agree"
-    DISAGREE = "Disagree"
-    UNRESOLVED = "Unresolved"
-
-
 def _witness(parent: dict, vector: tuple[int, ...]) -> Word:
     """The word of a vector, rebuilt from the parent pointers, with its
     variables renamed in order of first occurrence."""
@@ -73,18 +68,28 @@ def _witness(parent: dict, vector: tuple[int, ...]) -> Word:
     return Word(len(names), renamed)
 
 
-def _raw_scan(table: NaryTable, sub: Subuniverse, bounds: OracleBounds) -> OracleOutcome:
-    """Every sequence over max_vars declared variables, in (length,
-    lexicographic) order, each checked in full with verify_witness."""
-    if bounds.max_len is None:
-        raise ValueError("prune=False scans word by word and needs an int max_len")
+def _require_proper_closed(table: NaryTable, sub: Subuniverse) -> None:
+    if not sub.is_proper():
+        raise NotProperSubuniverse("oracle requires a proper subuniverse")
+    if not is_closed(table, sub):
+        raise NotClosed(f"subset {sub.elements} is not closed")
+
+
+def scan_words(table: NaryTable, sub: Subuniverse, max_vars: int, max_len: int) -> OracleOutcome:
+    """The first absorbing word in the raw word space: every sequence over
+    max_vars declared variables, in (length, lexicographic) order up to
+    max_len, each checked in full with verify_witness.
+
+    The independent cross-check of search_absorbing_term at small bounds.
+    """
+    _require_proper_closed(table, sub)
     examined = 0
-    for q in range(2, bounds.max_len + 1):
+    for q in range(2, max_len + 1):
         if not length_evaluable(q, table.arity):
             continue
-        for letters in itertools.product(range(bounds.max_vars), repeat=q):
+        for letters in itertools.product(range(max_vars), repeat=q):
             examined += 1
-            word = Word(bounds.max_vars, letters)
+            word = Word(max_vars, letters)
             if verify_witness(table, sub, word):
                 return OracleOutcome(word, examined, OracleStop.FOUND)
     return OracleOutcome(None, examined, OracleStop.LENGTH_BOUND)
@@ -94,9 +99,12 @@ def search_absorbing_term(
     table: NaryTable,
     sub: Subuniverse,
     bounds: OracleBounds = OracleBounds(),
-    prune: bool = True,
 ) -> OracleOutcome:
     """A shortest absorbing idempotent term in at most max_vars variables.
+
+    The table must be associative: only then is every term a word, the
+    same in every bracketing, so that the closure below reaches every term
+    operation and a negative stop is a proof.
 
     A term is a word over the variables, evaluated left-greedily, and its
     term operation is tabulated as a vector over a fixed list of
@@ -114,17 +122,9 @@ def search_absorbing_term(
     from parent pointers, renamed by first occurrence and re-verified with
     verify_witness); at once if the table has no exponent, when only the
     one-letter term is idempotent; when a layer adds nothing new; or when
-    the next layer would pass max_len.  prune=False instead scans the raw
-    word space (all sequences over max_vars declared variables) up to an
-    int max_len, checking each word with verify_witness: the independent
-    cross-check of the closure.
+    the next layer would pass max_len.
     """
-    if not sub.is_proper():
-        raise NotProperSubuniverse("oracle requires a proper subuniverse")
-    if not is_closed(table, sub):
-        raise NotClosed(f"subset {sub.elements} is not closed")
-    if not prune:
-        return _raw_scan(table, sub, bounds)
+    _require_proper_closed(table, sub)
     if compute_exponent(table) is None:
         return OracleOutcome(None, 0, OracleStop.NO_IDEMPOTENT_TERM)
 
@@ -178,40 +178,3 @@ def search_absorbing_term(
         if not added:
             return OracleOutcome(None, examined, OracleStop.CLOSURE_EXHAUSTED)
         layer = added
-
-
-def oracle_agrees(
-    table: NaryTable,
-    sub: Subuniverse,
-    bounds: OracleBounds,
-    verdict: AbsorptionVerdict,
-    outcome: OracleOutcome | None = None,
-) -> Agreement:
-    """Compare the criterion verdict with the oracle outcome.
-
-    NoIdempotentTerm proves that no proper B absorbs, so it settles every
-    verdict.  Any other negative outcome corroborates a negative verdict
-    only when the verdict is theorem-backed and the search provably covers
-    the constructed witness x^(k-1)y: max_vars >= 2, and the closure was
-    exhausted or max_len >= k.  Otherwise it stays Unresolved.  An
-    absorbing verdict the oracle cannot confirm under such bounds is a
-    Disagree: the witness is a theorem for every arity.
-    """
-    if outcome is None:
-        outcome = search_absorbing_term(table, sub, bounds)
-    if outcome.found:
-        return Agreement.AGREE if verdict.absorbs else Agreement.DISAGREE
-    if outcome.stop is OracleStop.NO_IDEMPOTENT_TERM:
-        return Agreement.DISAGREE if verdict.absorbs else Agreement.AGREE
-    k = verdict.exponent_k
-    covers_k = (
-        outcome.stop is OracleStop.CLOSURE_EXHAUSTED
-        or k is None
-        or (bounds.max_len is not None and bounds.max_len >= k)
-    )
-    adequate = bounds.max_vars >= 2 and covers_k
-    if verdict.absorbs:
-        return Agreement.DISAGREE if adequate else Agreement.UNRESOLVED
-    if verdict.proof_status.is_proved() and adequate:
-        return Agreement.AGREE
-    return Agreement.UNRESOLVED

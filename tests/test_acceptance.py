@@ -22,7 +22,6 @@ from absorb import (
     run_corpus,
     verify_witness,
 )
-from absorb.harness import proved_violations
 from test_core import naive_associative
 
 # Regression constants recorded from one-time runs: the exhaustive
@@ -84,14 +83,14 @@ def test_criterion_3_ternary_exhaustive_equivalence(ternary2, checked_ternary2):
     assert len(ternary2) == COUNT_TERNARY_2
     for r in checked_ternary2:
         assert r.table.size - len(r.sub.members) == 1  # every proper sub is a coatom
-        assert r.case.is_proved()
-        has_exponent = r.exponent_k is not None
+        assert r.verdict.proof_status.is_proved()
+        has_exponent = r.verdict.exponent_k is not None
         cond_1 = r.oracle.found
         cond_2 = r.cond2 and has_exponent
         cond_3 = r.cond3 and has_exponent
         assert cond_1 == cond_2 == cond_3
         assert r.agreement is Agreement.AGREE
-        assert proved_violations(r) == []
+        assert r.violations == ()
     _announce(
         3,
         f"{len(ternary2)} ternary tables, {len(checked_ternary2)} coatom pairs, "
@@ -108,8 +107,8 @@ def test_criterion_4_proved_case_nary_validation(proved_corpora, checked_proved)
     for r in checked_proved:
         if r.oracle.found and not r.cond2:
             found_without_cond2 += 1
-        if r.cond2 and r.exponent_k is not None:
-            witness = construct_witness(r.table, r.sub, r.exponent_k)
+        if r.cond2 and r.verdict.exponent_k is not None:
+            witness = construct_witness(r.table, r.sub, r.verdict.exponent_k)
             if not verify_witness(r.table, r.sub, witness):
                 rejected_witnesses += 1
     assert found_without_cond2 == 0
@@ -124,12 +123,12 @@ def test_criterion_4_proved_case_nary_validation(proved_corpora, checked_proved)
 def test_criterion_5_implication_chain(all_reports):
     violations = []
     for r in all_reports:
-        if r.exponent_k is None:
+        if r.verdict.exponent_k is None:
             continue
         if r.cond2 and not r.cond3:
             violations.append((r.table_id, r.sub.elements, "cond2 without cond3"))
         if r.cond3:
-            witness = construct_witness(r.table, r.sub, r.exponent_k)
+            witness = construct_witness(r.table, r.sub, r.verdict.exponent_k)
             if not verify_witness(r.table, r.sub, witness):
                 violations.append((r.table_id, r.sub.elements, "witness rejected"))
     assert violations == []
@@ -149,10 +148,10 @@ def test_criterion_7_exponent_correctness(all_reports):
     checked = 0
     for r in all_reports:
         key = (r.table.arity, r.table.entries)
-        if key in seen or r.exponent_k is None:
+        if key in seen or r.verdict.exponent_k is None:
             continue
         seen.add(key)
-        table, k, n = r.table, r.exponent_k, r.table.arity
+        table, k, n = r.table, r.verdict.exponent_k, r.table.arity
 
         def power(a, e):
             x = a

@@ -121,6 +121,15 @@ class TestCheck:
         assert doc["absorbs"] is True
         assert doc["trivial"] is True
 
+    @pytest.mark.parametrize("method", ["theorem", "oracle", "both"])
+    def test_nonassociative_table_rejected(self, capsys, files, tmp_path, method):
+        bad = tmp_path / "bad.json"
+        save_algebra(str(bad), NaryTable(2, 2, (0, 0, 1, 0)))
+        for sub in (files["sub0"], files["full"]):
+            capsys.readouterr()
+            assert main(["check", "--algebra", str(bad), "--sub", sub, "--method", method]) == 1
+            assert capsys.readouterr() == ("", "error: table is not associative\n")
+
     def test_missing_file_is_operational_error(self, capsys, files):
         code = main(["check", "--algebra", "nope.json", "--sub", files["sub0"]])
         assert code == 1

@@ -165,9 +165,6 @@ class TestWord:
     def test_display(self):
         assert str(Word(2, (0, 0, 1))) == "xxy"
 
-    def test_occurrence_counts(self):
-        assert Word(3, (0, 0, 1)).occurrences() == (2, 1, 0)
-
 
 class TestIsAssociative:
     def test_semilattice_meet(self):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -18,7 +19,7 @@ from absorb import (
     is_idempotent,
     random_filtered,
 )
-from absorb.generate import _dedup_canonical
+from absorb.generate import MAX_FREE_CELLS, _cell_units, _dedup_canonical
 from conftest import LEFT_ZERO, MIN2, TZ2, Z2
 from test_core import ASSOC_BINARY2, ASSOC_TERNARY2, naive_associative
 
@@ -93,6 +94,25 @@ class TestExhaustive:
     def test_unfiltered_ternary_size3_out_of_budget(self):
         with pytest.raises(BudgetExceeded):
             list(enumerate_tables(GenSpec(3, 3)))
+
+    def test_budget_counts_units_before_building_them(self):
+        # the budget decides exactly as the built units would
+        for m, n in ((1, 2), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)):
+            for idempotent, commutative in itertools.product((False, True), repeat=2):
+                units, _forced = _cell_units(m, n, idempotent, commutative)
+                spec = GenSpec(m, n, idempotent=idempotent, commutative=commutative)
+                stream = enumerate_tables(spec)
+                if len(units) > MAX_FREE_CELLS:
+                    with pytest.raises(BudgetExceeded, match=f"^{len(units)} free cells"):
+                        next(stream)
+                else:
+                    next(stream, None)
+        # m**n cells would take minutes to build
+        for spec in (GenSpec(10, 10), GenSpec(12, 6, commutative=True)):
+            started = time.perf_counter()
+            with pytest.raises(BudgetExceeded):
+                next(enumerate_tables(spec))
+            assert time.perf_counter() - started < 1.0
 
 
 class TestPowerMode:

@@ -26,7 +26,6 @@ from absorb import (
 )
 from absorb.cli import main
 from absorb.fileio import save_algebra
-from absorb.harness import proved_violations
 from conftest import LEFT_ZERO, MIN2, SUB0, SUB01_OF3, TMIN2, TMIN3, TZ2, Z2
 from test_core import ASSOC_SMALL
 from test_criteria import PROJ_KILL_T
@@ -83,12 +82,12 @@ class TestCheckPair:
     def test_semilattice_end_to_end(self):
         r = check_pair(MIN2, SUB0, OracleBounds())
         assert r.cond2 and r.cond3
-        assert r.exponent_k == 2
+        assert r.verdict.exponent_k == 2
         assert r.verdict.absorbs
         assert r.oracle.found
         assert r.agreement is Agreement.AGREE
-        assert r.case is CaseTag.THEOREM_BINARY
-        assert r.sub_mask == 1
+        assert r.verdict.proof_status is CaseTag.THEOREM_BINARY
+        assert r.sub.mask == 1
 
     def test_left_zero(self):
         r = check_pair(LEFT_ZERO, SUB0, OracleBounds())
@@ -101,7 +100,7 @@ class TestCheckPair:
         r = check_pair(TZ2, SUB0, OracleBounds())
         assert not r.cond2
         assert not r.verdict.absorbs
-        assert r.case is CaseTag.THEOREM_COMMUTATIVE
+        assert r.verdict.proof_status is CaseTag.THEOREM_COMMUTATIVE
         assert not r.oracle.found
         assert r.agreement is Agreement.AGREE
 
@@ -125,13 +124,13 @@ class TestCheckPair:
             return real(table, sub, word)
 
         monkeypatch.setattr(harness, "verify_witness", counting)
-        assert proved_violations(report) == []
+        assert report.violations == ()
         assert calls == [report.verdict.witness]
 
     def test_no_proved_violations_on_small_corpus(self):
         for table, sub in enumerate_pairs(ASSOC_SMALL):
             report = check_pair(table, sub, OracleBounds())
-            assert proved_violations(report) == []
+            assert report.violations == ()
 
 
 class TestTableDigest:
@@ -394,7 +393,7 @@ def flip_to_disagree(monkeypatch, flips):
 
 class TestRunStatus:
     def test_conjectural_disagree_is_candidate(self, tmp_path, capsys, monkeypatch):
-        flip_to_disagree(monkeypatch, lambda r: r.case is CaseTag.CONJECTURAL)
+        flip_to_disagree(monkeypatch, lambda r: r.verdict.proof_status is CaseTag.CONJECTURAL)
         out = tmp_path / "report.jsonl"
         report = run_corpus([PROJ_KILL_T, MIN2, Z2], OracleBounds(), str(out))
         assert report.status == "counterexample-candidate"

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
+import absorb.oracle
 from absorb import (
     Agreement,
     CaseTag,
@@ -23,6 +24,7 @@ from absorb import (
     enumerate_pairs,
     enumerate_tables,
     oracle_agrees,
+    scan_words,
     search_absorbing_term,
     verify_witness,
 )
@@ -106,12 +108,27 @@ class TestSearch:
                 assert verify_witness(table, sub, out.witness)
 
     def test_rejects_full_subuniverse(self):
+        full = Subuniverse(2, frozenset({0, 1}))
         with pytest.raises(NotProperSubuniverse):
-            search_absorbing_term(MIN2, Subuniverse(2, frozenset({0, 1})))
+            search_absorbing_term(MIN2, full)
+        with pytest.raises(NotProperSubuniverse):
+            scan_words(MIN2, full, 2, 3)
 
     def test_rejects_unclosed_subset(self):
+        unclosed = Subuniverse(2, frozenset({1}))
         with pytest.raises(NotClosed):
-            search_absorbing_term(Z2, Subuniverse(2, frozenset({1})))
+            search_absorbing_term(Z2, unclosed)
+        with pytest.raises(NotClosed):
+            scan_words(Z2, unclosed, 2, 3)
+
+    def test_independent_of_the_criterion(self):
+        # the oracle may re-verify a witness, but may not read a verdict
+        from_criteria = [
+            name
+            for name, obj in vars(absorb.oracle).items()
+            if getattr(obj, "__module__", None) == "absorb.criteria"
+        ]
+        assert from_criteria == ["verify_witness"]
 
     def test_deterministic(self):
         for table, sub in SMALL_PAIRS[:8]:
@@ -145,11 +162,11 @@ class TestSearch:
             )
 
     def test_pruning_never_changes_classification(self):
-        # unpruned scans every sequence over max_vars declared variables
+        # scan_words scans every sequence over max_vars declared variables
         bounds = OracleBounds(max_vars=2, max_len=5)
         for table, sub in SMALL_PAIRS:
             pruned = search_absorbing_term(table, sub, bounds)
-            raw = search_absorbing_term(table, sub, bounds, prune=False)
+            raw = scan_words(table, sub, 2, 5)
             assert pruned.found == raw.found
             assert pruned.words_examined <= raw.words_examined
 
@@ -160,7 +177,7 @@ class TestClosure:
         bounds = OracleBounds(max_vars=2, max_len=5)
         for table, sub in RAW_PAIRS:
             closure = search_absorbing_term(table, sub, bounds)
-            raw = search_absorbing_term(table, sub, bounds, prune=False)
+            raw = scan_words(table, sub, 2, 5)
             assert closure.found == raw.found, (table, sub)
             if closure.found:
                 assert closure.witness.length <= raw.witness.length, (table, sub)
@@ -192,10 +209,6 @@ class TestClosure:
         out = search_absorbing_term(EXP_T, EXP_SUB, OracleBounds(max_len=4))
         assert out == OracleOutcome(None, 0, OracleStop.LENGTH_BOUND)
 
-    def test_raw_scan_needs_a_length_cap(self):
-        with pytest.raises(ValueError):
-            search_absorbing_term(MIN2, SUB0, OracleBounds(max_len=None), prune=False)
-
 
 class TestBounds:
     def test_default_resolution(self):
@@ -224,11 +237,13 @@ class TestBounds:
 class TestAgreement:
     def test_both_positive(self):
         v = decide_theorem(MIN2, SUB0)
-        assert oracle_agrees(MIN2, SUB0, OracleBounds(), v) is Agreement.AGREE
+        out = search_absorbing_term(MIN2, SUB0)
+        assert oracle_agrees(v, out, OracleBounds()) is Agreement.AGREE
 
     def test_negative_with_binary_completeness(self):
         v = decide_theorem(LEFT_ZERO, SUB0)
-        assert oracle_agrees(LEFT_ZERO, SUB0, OracleBounds(), v) is Agreement.AGREE
+        out = search_absorbing_term(LEFT_ZERO, SUB0)
+        assert oracle_agrees(v, out, OracleBounds()) is Agreement.AGREE
 
     def test_conjectural_without_exponent_agrees(self):
         v = decide_theorem(PROJ_KILL_T, PROJ_KILL_SUB)
@@ -236,8 +251,7 @@ class TestAgreement:
         assert v.proof_status is CaseTag.CONJECTURAL
         out = search_absorbing_term(PROJ_KILL_T, PROJ_KILL_SUB)
         assert out == OracleOutcome(None, 0, OracleStop.NO_IDEMPOTENT_TERM)
-        tag = oracle_agrees(PROJ_KILL_T, PROJ_KILL_SUB, OracleBounds(), v, outcome=out)
-        assert tag is Agreement.AGREE
+        assert oracle_agrees(v, out, OracleBounds()) is Agreement.AGREE
 
     def test_conjectural_with_exponent_is_unresolved(self):
         v = decide_theorem(EXP_T, EXP_SUB)
@@ -245,12 +259,12 @@ class TestAgreement:
         assert v.proof_status is CaseTag.CONJECTURAL
         out = search_absorbing_term(EXP_T, EXP_SUB)
         assert out.stop is OracleStop.CLOSURE_EXHAUSTED
-        assert oracle_agrees(EXP_T, EXP_SUB, OracleBounds(), v, outcome=out) is Agreement.UNRESOLVED
+        assert oracle_agrees(v, out, OracleBounds()) is Agreement.UNRESOLVED
 
     def test_no_idempotent_term_contradicts_an_absorbing_verdict(self):
         v = decide_theorem(MIN2, SUB0)
         out = OracleOutcome(None, 0, OracleStop.NO_IDEMPOTENT_TERM)
-        assert oracle_agrees(MIN2, SUB0, OracleBounds(), v, outcome=out) is Agreement.DISAGREE
+        assert oracle_agrees(v, out, OracleBounds()) is Agreement.DISAGREE
 
     def test_length_bound_is_adequate_only_from_k(self):
         # Z2 with B = {0}: a proved negative verdict with k = 3
@@ -260,15 +274,8 @@ class TestAgreement:
             bounds = OracleBounds(max_len=max_len)
             out = search_absorbing_term(Z2, SUB0, bounds)
             assert out.stop is OracleStop.LENGTH_BOUND
-            assert oracle_agrees(Z2, SUB0, bounds, v, outcome=out) is expected
+            assert oracle_agrees(v, out, bounds) is expected
         bounds = OracleBounds(max_vars=1)
         out = search_absorbing_term(Z2, SUB0, bounds)
         assert out.stop is OracleStop.CLOSURE_EXHAUSTED
-        assert oracle_agrees(Z2, SUB0, bounds, v, outcome=out) is Agreement.UNRESOLVED
-
-    def test_precomputed_outcome_matches_internal_search(self):
-        v = decide_theorem(Z2, SUB0)
-        out = search_absorbing_term(Z2, SUB0, OracleBounds())
-        assert oracle_agrees(Z2, SUB0, OracleBounds(), v, outcome=out) == oracle_agrees(
-            Z2, SUB0, OracleBounds(), v
-        )
+        assert oracle_agrees(v, out, bounds) is Agreement.UNRESOLVED
