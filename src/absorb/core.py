@@ -294,6 +294,22 @@ def is_idempotent(table: NaryTable) -> bool:
     return all(table.apply(*([a] * table.arity)) == a for a in range(table.size))
 
 
+def _relabeling_sources(size: int, arity: int, perm: Sequence[int]) -> list[int]:
+    """The source index list of relabeling perm of a (size, arity) table.
+
+    Position j of the relabeled table holds perm[entries[sources[j]]]: sources
+    picks, for each relabeled position, the position whose argument tuple
+    perm maps there.
+    """
+    sources = [0] * size**arity
+    for i, tup in enumerate(itertools.product(range(size), repeat=arity)):
+        j = 0
+        for a in tup:
+            j = j * size + perm[a]
+        sources[j] = i
+    return sources
+
+
 def _relabeling_maps(
     size: int, arity: int, anchors: Iterable[int]
 ) -> Iterator[tuple[Callable, bytes]]:
@@ -302,22 +318,14 @@ def _relabeling_maps(
 
     For a relabeling perm, the relabeled entries are
     bytes(gather(raw.translate(values))): values is the 256-byte translate
-    table of perm, and gather picks, for each relabeled position, the source
-    position whose argument tuple perm maps there.  Needs size >= 2, so that
-    gather returns a tuple.
+    table of perm, and gather is the itemgetter of its _relabeling_sources.
+    Needs size >= 2, so that gather returns a tuple.
     """
     anchors = set(anchors)
-    tuples = list(itertools.product(range(size), repeat=arity))
     for perm in itertools.permutations(range(size)):
-        if perm.index(0) not in anchors:
-            continue
-        sources = [0] * len(tuples)
-        for i, tup in enumerate(tuples):
-            j = 0
-            for a in tup:
-                j = j * size + perm[a]
-            sources[j] = i
-        yield operator.itemgetter(*sources), bytes(perm) + bytes(range(size, 256))
+        if perm.index(0) in anchors:
+            sources = _relabeling_sources(size, arity, perm)
+            yield operator.itemgetter(*sources), bytes(perm) + bytes(range(size, 256))
 
 
 @functools.cache

@@ -1,5 +1,12 @@
 """Corpus generators: exhaustive backtracking over associative tables,
-power-derived families, seeded random sampling, and canonical forms."""
+power-derived families, seeded random sampling, and canonical forms.
+
+Exhaustive mode yields tables in ascending lexicographic order of their
+entries.  With dedup it prunes, during the search, every table that is not
+its own canonical form; by that order, these are exactly the tables that
+deduplicating the full stream would keep, in the same order.  Power and
+random streams are deduplicated by canonical bytes.
+"""
 
 from __future__ import annotations
 
@@ -15,6 +22,7 @@ from .core import (  # CANONICAL_PERM_MAX_SIZE and canonical_form are re-exporte
     NaryTable,
     Subuniverse,
     _canonical_bytes,
+    _relabeling_sources,
     canonical_form,
     enumerate_subuniverses,
     is_associative,
@@ -37,6 +45,12 @@ GENERATOR_NAME = "mt19937"
 MODES = ("exhaustive", "power", "random")
 
 DEFAULT_ATTEMPT_CAP = 1_000_000
+
+# Sampling budget: (2n-1)-tuples one draw's associativity check may read.
+# is_associative builds a list of m**(2n-1) values per bracketing, so 7-ary
+# tables of size 7 (7**13 tuples) would never finish one draw, while 4-ary
+# tables of size 4 read 4**7 = 16,384 tuples per draw.
+MAX_ASSOC_TUPLES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -151,14 +165,26 @@ def _assoc_instances(size: int, arity: int):
 
 
 def _backtrack_tables(
-    size: int, arity: int, idempotent: bool, commutative: bool
+    size: int, arity: int, idempotent: bool, commutative: bool, canonical: bool = False
 ) -> Iterator[NaryTable]:
-    """All associative tables compatible with the filters, exactly once,
-    in row-major ascending order of the free assignments.
+    """All associative tables compatible with the filters, exactly once, in
+    ascending lexicographic order of their entries; with canonical, only
+    those equal to their canonical_form, in the same order.
 
     Cells are filled in row-major order (grouped into orbit units when the
     commutative filter is on) and a partial table is pruned as soon as any
-    fully-determined associativity instance fails.
+    fully-determined associativity instance fails.  The order is ascending
+    because units are ordered by their first cell: two tables first differ
+    at the first cell of the first unit where they differ.
+
+    The order is what makes the canonical search equal to deduplicating the
+    full stream: both filters are invariant under relabeling, so the first
+    table of each isomorphism class in the stream is its least relabeling,
+    which is the one canonical table of the class.  The search keeps the
+    relabelings that may still beat the partial table, each with the first
+    position where it is not yet known to tie, and prunes as soon as one of
+    them beats it on an assigned prefix (Distler's lex-leader symmetry
+    breaking).
     """
     # The unit count of _cell_units, before it builds one cell per n-tuple:
     # commutativity leaves one unit per multiset, idempotence pins m of them.
@@ -197,7 +223,35 @@ def _backtrack_tables(
     if not all(cell_consistent(c) for c in forced):
         return
 
-    def rec(u: int) -> Iterator[NaryTable]:
+    # MAX_FREE_CELLS admits no shape above size 6, so the m! relabelings stay
+    # within CANONICAL_PERM_MAX_SIZE without a check of their own.
+    top = len(cells)
+    Live = list[tuple[tuple[int, ...], list[int], int]]
+    live: Live = []
+    if canonical:
+        perms = itertools.islice(itertools.permutations(range(size)), 1, None)
+        live = [(perm, _relabeling_sources(size, arity, perm), 0) for perm in perms]
+
+    def unbeaten(live: Live) -> Live | None:
+        """The relabelings that may still beat the partial table, or None
+        when one already does.  Position j of a relabeling holds
+        perm[cells[sources[j]]]; ties before its start position hold for the
+        whole subtree, and a relabeling that ties a complete table is an
+        automorphism and drops out."""
+        kept = []
+        for perm, sources, start in live:
+            for j in range(start, top):
+                mine, theirs = cells[j], cells[sources[j]]
+                if mine is None or theirs is None:
+                    kept.append((perm, sources, j))
+                    break
+                if perm[theirs] != mine:
+                    if perm[theirs] < mine:
+                        return None
+                    break
+        return kept
+
+    def rec(u: int, live: Live) -> Iterator[NaryTable]:
         if u == len(units):
             yield NaryTable(arity, size, tuple(cells))
             return
@@ -206,11 +260,13 @@ def _backtrack_tables(
             for c in unit:
                 cells[c] = v
             if all(cell_consistent(c) for c in unit):
-                yield from rec(u + 1)
+                survivors = unbeaten(live) if live else live
+                if survivors is not None:
+                    yield from rec(u + 1, survivors)
         for c in unit:
             cells[c] = None
 
-    yield from rec(0)
+    yield from rec(0, live)
 
 
 def random_filtered(
@@ -229,6 +285,12 @@ def random_filtered(
     and keeps a draw iff the table is associative.  Ends after `count`
     keepers, or earlier with an AttemptCapExhausted warning.
     """
+    tuples = size ** (2 * arity - 1)
+    if tuples > MAX_ASSOC_TUPLES:
+        raise BudgetExceeded(
+            f"{tuples} tuples per associativity check exceed the sampling "
+            f"budget of {MAX_ASSOC_TUPLES}"
+        )
     units, forced = _cell_units(size, arity, idempotent, commutative)
     rng = random.Random(seed)
     template: list[int] = [0] * (size**arity)
@@ -259,8 +321,10 @@ def random_filtered(
 def enumerate_tables(spec: GenSpec) -> Iterator[NaryTable]:
     """Stream of associative tables matching the spec, deterministic order."""
     if spec.mode == "exhaustive":
-        stream = _backtrack_tables(spec.size, spec.arity, spec.idempotent, spec.commutative)
-    elif spec.mode == "power":
+        return _backtrack_tables(
+            spec.size, spec.arity, spec.idempotent, spec.commutative, canonical=spec.dedup
+        )
+    if spec.mode == "power":
         stream = (
             derive_power_algebra(binary, spec.arity)
             for binary in _backtrack_tables(spec.size, 2, False, False)

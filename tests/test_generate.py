@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -172,6 +173,13 @@ class TestRandomFiltered:
             got = list(random_filtered(2, 2, 10_000, 0, attempt_cap=40))
         assert len(got) < 10_000
 
+    def test_budget_counts_tuples_before_building_units(self):
+        # one associativity check would read 7**13 tuples
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="tuples per associativity check"):
+            next(enumerate_tables(GenSpec(7, 7, mode="random", count=1)))
+        assert time.perf_counter() - started < 1.0
+
     def test_filters_hold_on_keepers(self):
         for t in random_filtered(3, 3, 10, 5, idempotent=True, commutative=True):
             assert is_associative(t) and is_idempotent(t) and is_commutative(t)
@@ -254,15 +262,55 @@ class TestDedup:
         assert len(deduped) <= len(raw)
 
     def test_counts_match_oeis(self, commutative5):
-        # Semigroups up to isomorphism: OEIS A027851 (all) and A001426 (commutative).
+        # Semigroups up to isomorphism: OEIS A027851 (all) and A001426
+        # (commutative); semilattices on m elements are the lattices on m + 1,
+        # OEIS A006966 (5, 15, 53 at m = 4, 5, 6).
         for spec, count in (
             (GenSpec(2, 2, dedup=True), 5),
             (GenSpec(3, 2, dedup=True), 24),
             (GenSpec(4, 2, dedup=True), 188),
+            (GenSpec(5, 2, commutative=True, dedup=True), 325),
+            (GenSpec(4, 2, idempotent=True, commutative=True, dedup=True), 5),
+            (GenSpec(5, 2, idempotent=True, commutative=True, dedup=True), 15),
+            (GenSpec(6, 2, idempotent=True, commutative=True, dedup=True), 53),
         ):
             assert sum(1 for _ in enumerate_tables(spec)) == count, spec
-        # GenSpec(5, 2, commutative=True, dedup=True) is this dedup over the shared stream.
+        # Cross-check: the dedup pass over the labeled stream counts the same.
         assert sum(1 for _ in _dedup_canonical(commutative5)) == 325
+
+
+class TestCanonicalSearch:
+    """Exhaustive dedup prunes non-canonical tables during the search; it must
+    yield what deduplicating the labeled stream keeps, in the same order."""
+
+    @staticmethod
+    def labeled_streams(commutative5):
+        """Each labeled exhaustive stream of every filter combination the
+        budget admits on binary sizes 1-4, ternary sizes 2 and 3 (commutative
+        only) and commutative binary size 5, with its spec."""
+        shapes = [(m, 2) for m in range(1, 5)] + [(2, 3)]
+        specs = [
+            GenSpec(m, n, idempotent=idempotent, commutative=commutative)
+            for m, n in shapes
+            for idempotent, commutative in itertools.product((False, True), repeat=2)
+        ]
+        specs += [GenSpec(3, 3, idempotent=idempotent, commutative=True) for idempotent in (False, True)]
+        for spec in specs:
+            yield spec, list(enumerate_tables(spec))
+        yield GenSpec(5, 2, commutative=True), commutative5
+
+    def test_equals_dedup_of_labeled_stream(self, commutative5):
+        for spec, labeled in self.labeled_streams(commutative5):
+            canonical = list(enumerate_tables(dataclasses.replace(spec, dedup=True)))
+            assert canonical == list(_dedup_canonical(labeled)), spec
+            assert all(canonical_form(t) == t for t in canonical), spec
+
+    def test_labeled_streams_ascend(self, commutative5):
+        # the invariant the equality rests on: the first table of each class
+        # in the stream is its least relabeling
+        for spec, labeled in self.labeled_streams(commutative5):
+            entries = [t.entries for t in labeled]
+            assert all(a < b for a, b in zip(entries, entries[1:])), spec
 
 
 class TestEnumeratePairs:
