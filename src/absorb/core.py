@@ -30,6 +30,18 @@ CANONICAL_PERM_MAX_SIZE = 6
 # each call.
 CANONICAL_CACHE_MAX_ENTRIES = 1 << 18
 
+# Subset plans are the flat indices a check on one subset gathers from the
+# entries; they depend only on (size, arity, subset).  Shapes of at most
+# PLAN_CACHE_MAX_ENTRIES entries keep them, each kind in an LRU cache of
+# PLAN_CACHE_SLOTS plans (every nonempty subset of a size-8 carrier); the
+# oracle's step table must hold at most that many offsets too.  Every index
+# is then below 256, one of the interpreter's shared small ints, so a slot
+# holds at most about 7 kB and the four plan caches at most about 5 MB, well
+# below a 16 MB bound (a test measures the largest plan of each kind).
+# Larger shapes build their index lists on each call.
+PLAN_CACHE_MAX_ENTRIES = 1 << 8
+PLAN_CACHE_SLOTS = 1 << 8
+
 _VAR_NAMES = "xyzuvw"
 
 
@@ -103,7 +115,7 @@ class Subuniverse:
     def from_mask(cls, carrier_size: int, mask: int) -> "Subuniverse":
         return cls(carrier_size, frozenset(i for i in range(carrier_size) if mask >> i & 1))
 
-    @property
+    @functools.cached_property
     def mask(self) -> int:
         return sum(1 << a for a in self.members)
 
@@ -290,8 +302,17 @@ def is_commutative(table: NaryTable) -> bool:
     return True
 
 
+def _diagonal(size: int, arity: int) -> int:
+    """Flat index of (1, ..., 1); (a, ..., a) sits at a times it.  Needs size >= 2."""
+    return (size**arity - 1) // (size - 1)
+
+
 def is_idempotent(table: NaryTable) -> bool:
-    return all(table.apply(*([a] * table.arity)) == a for a in range(table.size))
+    """f(a, ..., a) = a for every a: the diagonal entries read 0, ..., m-1."""
+    m = table.size
+    if m == 1:
+        return True  # the only entry is 0
+    return table.entries[:: _diagonal(m, table.arity)] == tuple(range(m))
 
 
 def _relabeling_sources(size: int, arity: int, perm: Sequence[int]) -> list[int]:
@@ -349,7 +370,7 @@ def _canonical_bytes(table: NaryTable) -> bytes:
         )
     if m == 1:
         return bytes(table.entries)
-    diagonal = (m**n - 1) // (m - 1)  # flat index of (1, ..., 1)
+    diagonal = _diagonal(m, n)
     anchors = [a for a in range(m) if table.entries[a * diagonal] == a] or range(m)
     if math.factorial(m) * m**n <= CANONICAL_CACHE_MAX_ENTRIES:
         groups = _relabelings(m, n)
@@ -423,31 +444,54 @@ def _power_indices(m: int, n: int, elements: Sequence[int]) -> list[int]:
     return indices
 
 
-def _closed(table: NaryTable, elements: Sequence[int], members: frozenset[int]) -> bool:
-    indices = _power_indices(table.size, table.arity, elements)
-    return members.issuperset(map(table.entries.__getitem__, indices))
+def _gather(indices: Sequence[int]) -> Callable:
+    """The itemgetter of a nonempty index list, returning a tuple even for
+    one index (which it repeats)."""
+    if len(indices) == 1:
+        indices = [indices[0]] * 2
+    return operator.itemgetter(*indices)
+
+
+def _plan(builder: Callable, table: NaryTable, *key: int, plan_size: int = 0):
+    """builder(size, arity, *key) from its LRU cache when the table has at
+    most PLAN_CACHE_MAX_ENTRIES entries and plan_size, the number of
+    offsets a plan that is not a subset's index list holds, is at most
+    that too; otherwise built for this call alone."""
+    if len(table.entries) <= PLAN_CACHE_MAX_ENTRIES and plan_size <= PLAN_CACHE_MAX_ENTRIES:
+        return builder(table.size, table.arity, *key)
+    return builder.__wrapped__(table.size, table.arity, *key)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SLOTS)
+def _subset_plan(size: int, arity: int, mask: int) -> tuple[Subuniverse, Callable]:
+    """The subset with this mask, and the gather of the entries of every
+    arity-tuple over it."""
+    sub = Subuniverse.from_mask(size, mask)
+    return sub, _gather(_power_indices(size, arity, sub.elements))
 
 
 def is_closed(table: NaryTable, sub: Subuniverse) -> bool:
     """Every n-tuple from the subset lands back in the subset."""
     if sub.carrier_size != table.size:
         raise ValueError("subuniverse carrier does not match table size")
-    return _closed(table, sub.elements, sub.members)
+    _, gather = _plan(_subset_plan, table, sub.mask)
+    return sub.members.issuperset(gather(table.entries))
 
 
 def enumerate_subuniverses(table: NaryTable, proper_only: bool) -> list[Subuniverse]:
-    """All nonempty closed subsets in ascending bitmask order; a Subuniverse
-    is built only for the closed ones."""
+    """All nonempty closed subsets in ascending bitmask order; the
+    Subuniverse objects come from the subset plans, so tables of one shape
+    share them."""
     m = table.size
     if m > SUBSET_SCAN_MAX_SIZE:
         raise BudgetExceeded(
             f"subuniverse scan over 2^{m} subsets exceeds the cap of {SUBSET_SCAN_MAX_SIZE}"
         )
     full = (1 << m) - 1
+    entries = table.entries
     found = []
     for mask in range(1, full if proper_only else full + 1):
-        elements = [a for a in range(m) if mask >> a & 1]
-        members = frozenset(elements)
-        if _closed(table, elements, members):
-            found.append(Subuniverse(m, members))
+        sub, gather = _plan(_subset_plan, table, mask)
+        if sub.members.issuperset(gather(entries)):
+            found.append(sub)
     return found

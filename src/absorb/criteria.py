@@ -8,15 +8,20 @@ detect_case records which proved case (if any) certifies the verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .core import (  # is_commutative and is_idempotent are re-exported
+    PLAN_CACHE_SLOTS,
     NaryTable,
     Subuniverse,
     TableFacts,
     Word,
+    _gather,
+    _plan,
     _power_indices,
     _reduce_left,
     eval_word,
@@ -69,27 +74,39 @@ class AbsorptionVerdict:
     proof_status: CaseTag
 
 
-def cond2_products(table: NaryTable, sub: Subuniverse) -> bool:
-    """Padded products a b^(n-1) and b^(n-1) a stay in the subset.
+@functools.lru_cache(maxsize=PLAN_CACHE_SLOTS)
+def _cond2_plan(size: int, arity: int, mask: int) -> Callable:
+    """The gather of a b^(n-1) and b^(n-1) a over every a and every b in
+    the subset with this mask.
 
     With r = 1 + m + ... + m^(n-2), their flat indices are a m^(n-1) + b r
     and b m r + a.
     """
-    n, m, entries = table.arity, table.size, table.entries
-    r = sum(m**j for j in range(n - 1))
-    top = m ** (n - 1)
-    indices = [a * top + b * r for b in sub.elements for a in range(m)]
-    indices += [b * m * r + a for b in sub.elements for a in range(m)]
-    return sub.members.issuperset(map(entries.__getitem__, indices))
+    elements = Subuniverse.from_mask(size, mask).elements
+    r = sum(size**j for j in range(arity - 1))
+    top = size ** (arity - 1)
+    indices = [a * top + b * r for b in elements for a in range(size)]
+    indices += [b * size * r + a for b in elements for a in range(size)]
+    return _gather(indices)
+
+
+def cond2_products(table: NaryTable, sub: Subuniverse) -> bool:
+    """Padded products a b^(n-1) and b^(n-1) a stay in the subset."""
+    return sub.members.issuperset(_plan(_cond2_plan, table, sub.mask)(table.entries))
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SLOTS)
+def _cond3_plan(size: int, arity: int, mask: int) -> Callable:
+    """The gather of every entry except those of (A minus B)^n, for the
+    subset B with this mask."""
+    outside = [a for a in range(size) if not mask >> a & 1]
+    skipped = set(_power_indices(size, arity, outside))
+    return _gather([i for i in range(size**arity) if i not in skipped])
 
 
 def cond3_products(table: NaryTable, sub: Subuniverse) -> bool:
-    """Every n-tuple with at least one coordinate in the subset lands in it:
-    every entry except those of (A minus B)^n."""
-    members = sub.members
-    outside = [a for a in range(table.size) if a not in members]
-    skipped = set(_power_indices(table.size, table.arity, outside))
-    return members.issuperset(e for i, e in enumerate(table.entries) if i not in skipped)
+    """Every n-tuple with at least one coordinate in the subset lands in it."""
+    return sub.members.issuperset(_plan(_cond3_plan, table, sub.mask)(table.entries))
 
 
 def detect_case(table: NaryTable | TableFacts, sub: Subuniverse) -> CaseTag:

@@ -315,8 +315,13 @@ def derived_fact_probes(
     return results
 
 
+# The encoder json.dumps(record, sort_keys=True, separators=(",", ":"))
+# would build for each record, built once.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dump(record: dict) -> bytes:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    return _ENCODER.encode(record).encode() + b"\n"
 
 
 def _header_record(source_echo: dict, bounds: OracleBounds, meta: dict | None) -> dict:

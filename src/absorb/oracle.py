@@ -9,11 +9,21 @@ word-by-word reference the closure is tested against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import NaryTable, Subuniverse, Word, compute_exponent, is_closed, length_evaluable
+from .core import (
+    PLAN_CACHE_SLOTS,
+    NaryTable,
+    Subuniverse,
+    Word,
+    _plan,
+    compute_exponent,
+    is_closed,
+    length_evaluable,
+)
 from .criteria import verify_witness
 from .errors import NotClosed, NotProperSubuniverse
 
@@ -66,6 +76,54 @@ def _witness(parent: dict, vector: tuple[int, ...]) -> Word:
     names = {0: 0}
     renamed = [0] + [names.setdefault(x, len(names)) for c in reversed(chunks) for x in c]
     return Word(len(names), renamed)
+
+
+# The table whose exponent was computed last, and that exponent: a corpus
+# run searches every subuniverse of one table in a row.  Keyed on identity,
+# so a lookup costs nothing however large the table; it keeps that one
+# table alive.
+_last_exponent: tuple[NaryTable | None, int | None] = (None, None)
+
+
+def _exponent(table: NaryTable) -> int | None:
+    """compute_exponent(table), remembered for the last table asked about.
+
+    The oracle computes its own exponent, independently of the criterion's
+    table facts."""
+    global _last_exponent
+    last, k = _last_exponent
+    if last is not table:
+        k = compute_exponent(table)
+        _last_exponent = (table, k)
+    return k
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SLOTS)
+def _closure_plan(size: int, arity: int, max_vars: int, mask: int) -> tuple:
+    """The table-independent part of the closure over the subset with this
+    mask: the vector of the word x, and the steps.
+
+    The assignment list is the domain D, then the size diagonal ones.  Each
+    step appends one tuple of arity-1 letters, as the flat-index offsets of
+    their values over the assignment list.
+    """
+    elements = Subuniverse.from_mask(size, mask).elements
+    outside = [a for a in range(size) if not mask >> a & 1]
+    domain = [
+        rest[:i] + (a,) + rest[i:]
+        for i in range(max_vars)
+        for rest in itertools.product(elements, repeat=max_vars - 1)
+        for a in outside
+    ]
+    diagonal = tuple(range(size))
+    columns = [tuple(assignment[x] for assignment in domain) + diagonal for x in range(max_vars)]
+    steps = []
+    for letters in itertools.product(range(max_vars), repeat=arity - 1):
+        offsets = [0] * len(columns[0])
+        for x in letters:
+            offsets = [o * size + c for o, c in zip(offsets, columns[x])]
+        steps.append((letters, tuple(offsets)))
+    return columns[0], tuple(steps)
 
 
 def _require_proper_closed(table: NaryTable, sub: Subuniverse) -> None:
@@ -125,35 +183,22 @@ def search_absorbing_term(
     the next layer would pass max_len.
     """
     _require_proper_closed(table, sub)
-    if compute_exponent(table) is None:
+    if _exponent(table) is None:
         return OracleOutcome(None, 0, OracleStop.NO_IDEMPOTENT_TERM)
 
     n, m, v, entries = table.arity, table.size, bounds.max_vars, table.entries
     members = sub.members
-    outside = [a for a in range(m) if a not in members]
-    domain = [
-        rest[:i] + (a,) + rest[i:]
-        for i in range(v)
-        for rest in itertools.product(sub.elements, repeat=v - 1)
-        for a in outside
-    ]
-    cut = len(domain)
-    diagonal = tuple(range(m))
-    columns = [tuple(assignment[x] for assignment in domain) + diagonal for x in range(v)]
-    # Each step appends one tuple of n-1 letters, as the flat-index offsets
-    # of their values over the assignment list.
-    steps = []
-    for letters in itertools.product(range(v), repeat=n - 1):
-        offsets = [0] * (cut + m)
-        for x in letters:
-            offsets = [o * m + c for o, c in zip(offsets, columns[x])]
-        steps.append((letters, offsets))
+    inside = len(members)
+    # one offset per step and assignment: v^(n-1) steps over |D| + m assignments
+    plan_size = v ** (n - 1) * (v * inside ** (v - 1) * (m - inside) + m)
+    start, steps = _plan(_closure_plan, table, v, sub.mask, plan_size=plan_size)
+    diagonal = start[-m:]
     stride = m ** (n - 1)
 
     # every vector reached -> (its parent vector, the letters appended), or
     # None for the word x
-    parent: dict = {columns[0]: None}
-    layer = [columns[0]]
+    parent: dict = {start: None}
+    layer = [start]
     length = 1
     examined = 0
     while True:
@@ -170,7 +215,7 @@ def search_absorbing_term(
                     continue
                 parent[stepped] = (vector, letters)
                 added.append(stepped)
-                if stepped[cut:] == diagonal and members.issuperset(stepped[:cut]):
+                if stepped[-m:] == diagonal and members.issuperset(stepped[:-m]):
                     word = _witness(parent, stepped)
                     if not verify_witness(table, sub, word):
                         raise RuntimeError(f"oracle hit {word} failed re-verification")

@@ -20,6 +20,7 @@ from absorb import (
     is_associative,
     is_closed,
     is_commutative,
+    is_idempotent,
     power_profile,
     table_digest,
     table_facts,
@@ -386,6 +387,19 @@ class TestIsCommutative:
 
     def test_single_element_table(self):
         assert is_commutative(NaryTable(4, 1, (0,)))
+
+
+class TestIsIdempotent:
+    def test_matches_apply_loop(self, predicate_tables):
+        for table in predicate_tables:
+            expected = all(table.apply(*[a] * table.arity) == a for a in range(table.size))
+            assert is_idempotent(table) == expected, table
+        assert {is_idempotent(t) for t in predicate_tables} == {True, False}
+
+    def test_single_element_table(self):
+        # the diagonal step (m**n - 1) / (m - 1) is undefined for m = 1
+        assert is_idempotent(NaryTable(2, 1, (0,)))
+        assert is_idempotent(NaryTable(5, 1, (0,)))
 
 
 def test_nfold_composition_is_associative():

@@ -9,12 +9,15 @@ import time
 import pytest
 
 import absorb.core
+import absorb.harness
 from absorb import (
     Agreement,
     CaseTag,
+    CorpusReport,
     GenSpec,
     NaryTable,
     OracleBounds,
+    OracleStop,
     PreconditionsUnmet,
     Subuniverse,
     check_pair,
@@ -26,7 +29,7 @@ from absorb import (
 )
 from absorb.cli import main
 from absorb.fileio import save_algebra
-from conftest import LEFT_ZERO, MIN2, SUB0, SUB01_OF3, TMIN2, TMIN3, TZ2, Z2
+from conftest import LEFT_ZERO, MIN2, NULL2, SUB0, SUB01_OF3, TMIN2, TMIN3, TZ2, Z2
 from test_core import ASSOC_SMALL
 from test_criteria import PROJ_KILL_T
 
@@ -43,6 +46,8 @@ REPORT_BODY_SHA256 = {
 }
 
 TABLE_FACT_FUNCTIONS = ("is_associative", "table_digest", "is_commutative", "is_idempotent")
+# table_facts and the oracle each compute the exponent once per table
+COUNTED_FUNCTIONS = TABLE_FACT_FUNCTIONS + ("compute_exponent",)
 
 
 def read_report(path):
@@ -52,11 +57,12 @@ def read_report(path):
 
 @pytest.fixture(scope="module")
 def counted_binary3_run(tmp_path_factory):
-    """run_corpus over GenSpec(3, 2) with each table-fact function counted
-    at every absorb module that binds it; returns (report, bytes, counts)."""
-    counts = dict.fromkeys(TABLE_FACT_FUNCTIONS, 0)
+    """run_corpus over GenSpec(3, 2) with each table-fact function and
+    compute_exponent counted at every absorb module that binds it; returns
+    (report, bytes, counts)."""
+    counts = dict.fromkeys(COUNTED_FUNCTIONS, 0)
     patched = []
-    for name in TABLE_FACT_FUNCTIONS:
+    for name in COUNTED_FUNCTIONS:
         original = getattr(absorb.core, name)
 
         def counting(*args, _name=name, _original=original):
@@ -442,6 +448,26 @@ class TestRunStatus:
 
 
 class TestReportPins:
+    def test_dump_is_json_dumps(self):
+        # _dump reuses one encoder; its bytes must stay those of json.dumps
+        pairs = [
+            check_pair(MIN2, SUB0),
+            check_pair(NULL2, SUB0),
+            check_pair(Z2, SUB0),
+            check_pair(Z2, SUB0, OracleBounds(max_len=2)),
+        ]
+        assert {p.oracle.stop for p in pairs} == set(OracleStop)
+        report = CorpusReport(tables=4)
+        records = [p.to_record() for p in pairs]
+        for record in records:
+            report.add_record(record)
+        source = {"kind": "genspec", **GenSpec(2, 2).to_dict()}
+        records.append(absorb.harness._header_record(source, OracleBounds(), {"note": "r\u00e9sum\u00e9"}))
+        records.append(report.summary_record())
+        for record in records:
+            expected = json.dumps(record, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+            assert absorb.harness._dump(record) == expected
+
     def test_report_bytes_pinned(self, tmp_path, counted_binary3_run):
         reports = {GenSpec(3, 2): counted_binary3_run[1]}
         for i, spec in enumerate(REPORT_BODY_SHA256):
@@ -474,4 +500,4 @@ class TestReportPins:
     def test_table_facts_computed_once_per_table(self, counted_binary3_run):
         report, _data, counts = counted_binary3_run
         assert (report.tables, report.pairs) == (113, 465)
-        assert counts == dict.fromkeys(TABLE_FACT_FUNCTIONS, 113)
+        assert counts == {**dict.fromkeys(TABLE_FACT_FUNCTIONS, 113), "compute_exponent": 226}
