@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-conjecture", help="run the equivalence harness over a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--resume", default=None)
+    p.add_argument("--resume", action="store_true")
     p.add_argument("--max-vars", type=int, default=OracleBounds.max_vars)
     p.add_argument("--max-len", type=int, default=OracleBounds.max_len)
     p.set_defaults(func=_cmd_verify_conjecture)

@@ -397,17 +397,8 @@ def table_digest(table: NaryTable) -> str:
     else:
         entries = table.entries
         prefix = "r"
-    text = _entries_text(table.arity, table.size, entries)
+    text = f"{table.arity}:{table.size}:{','.join(map(str, entries))}"
     return prefix + hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def _entries_text(arity: int, size: int, entries: Iterable[int]) -> str:
-    return f"{arity}:{size}:{','.join(map(str, entries))}"
-
-
-def table_text(table: NaryTable) -> str:
-    """The raw "arity:size:entries" text that digests and stream hashes read."""
-    return _entries_text(table.arity, table.size, table.entries)
 
 
 @dataclass(frozen=True)

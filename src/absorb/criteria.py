@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .core import (  # is_commutative and is_idempotent are re-exported
+from .core import (
     PLAN_CACHE_SLOTS,
     NaryTable,
     Subuniverse,
@@ -26,8 +26,6 @@ from .core import (  # is_commutative and is_idempotent are re-exported
     _reduce_left,
     eval_word,
     is_closed,
-    is_commutative,
-    is_idempotent,
     length_evaluable,
     table_facts,
 )

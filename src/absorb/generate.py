@@ -17,8 +17,7 @@ import warnings
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
-from .core import (  # CANONICAL_PERM_MAX_SIZE and canonical_form are re-exported
-    CANONICAL_PERM_MAX_SIZE,
+from .core import (  # canonical_form is looked up here by bench/run.py:install
     NaryTable,
     Subuniverse,
     _canonical_bytes,
@@ -276,7 +275,6 @@ def random_filtered(
     seed: int,
     idempotent: bool = False,
     commutative: bool = False,
-    attempt_cap: int = DEFAULT_ATTEMPT_CAP,
 ) -> Iterator[NaryTable]:
     """Seeded stream of associative tables satisfying the filters.
 
@@ -299,10 +297,10 @@ def random_filtered(
     kept = 0
     attempts = 0
     while kept < count:
-        if attempts >= attempt_cap:
+        if attempts >= DEFAULT_ATTEMPT_CAP:
             warnings.warn(
                 AttemptCapExhausted(
-                    f"attempt cap {attempt_cap} exhausted after {kept} of {count} tables"
+                    f"attempt cap {DEFAULT_ATTEMPT_CAP} exhausted after {kept} of {count} tables"
                 )
             )
             return

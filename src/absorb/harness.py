@@ -4,24 +4,23 @@ check_pair runs both decision routes on one (table, sub) pair and its
 PairReport says what the pair means: whether the two routes agree, which
 proved facts it violates, and whether it is a counterexample.  run_corpus
 streams pairs from a generator or an explicit table list, writes one
-self-contained JSON record per line, keeps a throttled checkpoint so an
-interrupted run resumes byte-identically, and classifies the outcome
-(consistent / counterexample-candidate / failed).
+self-contained JSON record per line, and classifies the outcome
+(consistent / counterexample-candidate / failed).  The report is its own
+checkpoint: each record names its table and subset, so an interrupted run
+resumes from the report alone and comes out byte-identical.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import json
-import os
 import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import BinaryIO, Iterable, Iterator
 
-from .core import (  # table_digest is re-exported
+from .core import (  # table_digest is looked up here by bench/run.py:install
     NaryTable,
     Subuniverse,
     TableFacts,
@@ -30,7 +29,6 @@ from .core import (  # table_digest is re-exported
     eval_word,
     table_digest,
     table_facts,
-    table_text,
 )
 from .criteria import (
     AbsorptionVerdict,
@@ -51,9 +49,6 @@ REPORT_FORMAT = "absorb-report/2"
 STATUS_CONSISTENT = "consistent"
 STATUS_CANDIDATE = "counterexample-candidate"
 STATUS_FAILED = "failed"
-
-# Least time between two checkpoint writes during a run.
-CHECKPOINT_INTERVAL_S = 1.0
 
 # Membership facts the idempotent-ternary proof derives along the way, in
 # proof-step order, as two-variable words: variable 0 is the arbitrary
@@ -340,32 +335,78 @@ def _header_record(source_echo: dict, bounds: OracleBounds, meta: dict | None) -
     }
 
 
-def _write_checkpoint(path: str, out: BinaryIO, state: dict) -> None:
-    out.flush()  # the report holds report_bytes before the checkpoint says so
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(_dump(state))
-    os.replace(tmp, path)
+def _table_records(f: BinaryIO, table: NaryTable) -> list[dict] | None:
+    """The table's pair records, read from f; None when they are missing, cut
+    short or end in a fatal record, so the run must redo the table."""
+    entries = list(table.entries)
+    records = []
+    for sub in enumerate_subuniverses(table, proper_only=True):
+        line = f.readline()
+        record = json.loads(line) if line.endswith(b"\n") else {}
+        if record.get("type") != "pair":  # cut short, or a shorter run's summary
+            return None
+        if (record["table"], record["sub"]) != (entries, list(sub.elements)):
+            raise ValueError("report does not match this run's table stream")
+        if record["fatal"]:
+            return None
+        records.append(record)
+    return records
+
+
+def _resume(
+    path: str, header_bytes: bytes, tables: Iterator[NaryTable], report: CorpusReport
+) -> Iterator[NaryTable] | None:
+    """Tally the report at path table by table, cut it after the last table
+    it holds complete, and return the tables still to run; None when it
+    holds no complete header, so the run starts afresh.
+
+    Raises ValueError, leaving the file as it is, unless the header is this
+    run's and each record names the table and subset this stream puts there.
+    """
+    try:
+        f = open(path, "r+b")
+    except FileNotFoundError:
+        return None
+    with f:
+        first = f.readline()
+        if first != header_bytes:
+            if header_bytes.startswith(first):
+                return None
+            raise ValueError(f"report {path} does not match this run's parameters")
+        kept = f.tell()
+        for table in tables:
+            records = _table_records(f, table)
+            if records is None:
+                tables = itertools.chain([table], tables)
+                break
+            for record in records:
+                report.add_record(record)
+            report.tables += 1
+            kept = f.tell()
+        else:
+            line = f.readline()
+            if line.endswith(b"\n") and json.loads(line)["type"] == "pair":
+                raise ValueError("report holds more tables than this run's table stream")
+        f.truncate(kept)
+    return tables
 
 
 def run_corpus(
     source: GenSpec | Iterable[NaryTable],
     bounds: OracleBounds,
     out_path: str,
-    resume: str | None = None,
+    resume: bool = False,
     meta: dict | None = None,
 ) -> CorpusReport:
     """Check every (table, proper closed sub) pair of the corpus.
 
     Writes one pair record per line to out_path plus a final summary
-    record.  The checkpoint records the last completed table at most once
-    per CHECKPOINT_INTERVAL_S, and once more when an exception ends the
-    run; a killed run resumes from it into a byte-identical report, redoing
-    the tables completed after it.  Resuming raises ValueError unless the
-    run's parameters and the raw tables it skips match the checkpoint.
-    Proved-case inconsistencies abort the run as failed; conjectural
-    oracle-vs-criterion conflicts are flagged as counterexample candidates
-    and the run continues.
+    record.  With resume, a killed run continues from the report it left:
+    the tables it holds complete are tallied, not redone, and the bytes
+    come out as a fresh run's (see _resume).  Otherwise out_path is
+    overwritten.  Proved-case inconsistencies abort the run as failed;
+    conjectural oracle-vs-criterion conflicts are flagged as
+    counterexample candidates and the run continues.
     """
     started = time.perf_counter()
     if isinstance(source, GenSpec):
@@ -375,47 +416,15 @@ def run_corpus(
         source_echo = {"kind": "tables"}
         tables = iter(source)
 
-    header = _header_record(source_echo, bounds, meta)
-    header_bytes = _dump(header)
-    fingerprint = hashlib.sha256(header_bytes).hexdigest()
-    ckpt_path = resume if resume is not None else out_path + ".ckpt"
-
+    header_bytes = _dump(_header_record(source_echo, bounds, meta))
     report = CorpusReport()
-    # Raw entries, not table_digest: a relabeled table stream must not match.
-    stream_hash = hashlib.sha256()
-    skip_tables = 0
-    if resume is not None and os.path.exists(ckpt_path):
-        with open(ckpt_path, "rb") as f:
-            state = json.loads(f.read())
-        if state.get("fingerprint") != fingerprint:
-            raise ValueError("checkpoint does not match this run's parameters")
-        skip_tables = state["tables_done"]
-        for table in itertools.islice(tables, skip_tables):
-            stream_hash.update(table_text(table).encode() + b";")
-        if state.get("tables_sha256") != stream_hash.hexdigest():
-            raise ValueError("checkpoint does not match this run's table stream")
-        report_bytes = state["report_bytes"]
-        if os.path.getsize(out_path) < report_bytes:
-            raise ValueError("report file is shorter than the checkpoint records")
-        with open(out_path, "r+b") as f:
-            f.truncate(report_bytes)
-            f.seek(0)
-            for line in f:
-                record = json.loads(line)
-                if record["type"] == "pair":
-                    report.add_record(record)
-        report.tables = skip_tables
-        out = open(out_path, "ab")
-    else:
-        out = open(out_path, "wb")
-        out.write(header_bytes)
-
+    pending = _resume(out_path, header_bytes, tables, report) if resume else None
     aborted = False
-    snapshot = written = None  # the state after the last completed table, the last on disk
-    last_write = time.perf_counter()
-    try:
-        for index, table in enumerate(tables, start=skip_tables):
-            stream_hash.update(table_text(table).encode() + b";")
+    with open(out_path, "wb" if pending is None else "ab") as out:
+        if pending is None:
+            out.write(header_bytes)
+            pending = tables
+        for table in pending:
             facts = table_facts(table)
             for sub in enumerate_subuniverses(table, proper_only=True):
                 pair = check_pair(facts, sub, bounds)
@@ -428,24 +437,7 @@ def run_corpus(
             report.tables += 1
             if aborted:
                 break
-            snapshot = {
-                "fingerprint": fingerprint,
-                "tables_done": index + 1,
-                "tables_sha256": stream_hash.hexdigest(),
-                "report_bytes": out.tell(),
-            }
-            if time.perf_counter() - last_write >= CHECKPOINT_INTERVAL_S:
-                _write_checkpoint(ckpt_path, out, snapshot)
-                written, last_write = snapshot, time.perf_counter()
         out.write(_dump(report.summary_record()))
-    except BaseException:
-        if snapshot is not written:
-            _write_checkpoint(ckpt_path, out, snapshot)
-        raise
-    finally:
-        out.close()
-    if os.path.exists(ckpt_path):
-        os.remove(ckpt_path)
 
     report.wall_time = time.perf_counter() - started
     return report

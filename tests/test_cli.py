@@ -188,6 +188,17 @@ class TestEnumerateAndVerify:
             header = json.loads(f.readline())
         assert header["meta"]["corpus"]["count"] == 8
 
+    def test_resume_a_report_cut_in_half(self, capsys, tmp_path):
+        corpus = str(tmp_path / "corpus")
+        assert main(["enumerate", "--size", "2", "--arity", "3", "--out", corpus]) == 0
+        report = tmp_path / "report.jsonl"
+        argv = ["verify-conjecture", "--corpus", corpus, "--report", str(report)]
+        capsys.readouterr()
+        clean = (main(argv), capsys.readouterr().out, report.read_bytes())
+        report.write_bytes(clean[2][: len(clean[2]) // 2])
+        resumed = (main(argv + ["--resume"]), capsys.readouterr().out, report.read_bytes())
+        assert resumed == clean
+
     def test_random_mode_reproducible(self, capsys, tmp_path):
         argv = ["enumerate", "--size", "3", "--arity", "3", "--commutative",
                 "--mode", "random", "--count", "5", "--seed", "11"]

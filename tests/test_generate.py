@@ -6,6 +6,7 @@ import time
 import pytest
 
 import absorb.core
+import absorb.generate
 from absorb import (
     AttemptCapExhausted,
     BudgetExceeded,
@@ -168,9 +169,10 @@ class TestRandomFiltered:
     def test_count_zero_is_empty(self):
         assert list(random_filtered(2, 2, 0, 3)) == []
 
-    def test_attempt_cap_warns_and_ends_stream(self):
+    def test_attempt_cap_warns_and_ends_stream(self, monkeypatch):
+        monkeypatch.setattr(absorb.generate, "DEFAULT_ATTEMPT_CAP", 40)
         with pytest.warns(AttemptCapExhausted):
-            got = list(random_filtered(2, 2, 10_000, 0, attempt_cap=40))
+            got = list(random_filtered(2, 2, 10_000, 0))
         assert len(got) < 10_000
 
     def test_budget_counts_tuples_before_building_units(self):

@@ -4,7 +4,6 @@ import hashlib
 import json
 import os
 import sys
-import time
 
 import pytest
 
@@ -24,6 +23,7 @@ from absorb import (
     derive_power_algebra,
     derived_fact_probes,
     enumerate_pairs,
+    enumerate_subuniverses,
     run_corpus,
     table_digest,
 )
@@ -217,14 +217,8 @@ class TestRunCorpus:
         run_corpus(GenSpec(2, 2), OracleBounds(), str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_checkpoint_removed_after_completion(self, tmp_path):
-        out = tmp_path / "report.jsonl"
-        run_corpus(GenSpec(2, 2), OracleBounds(), str(out))
-        assert not (tmp_path / "report.jsonl.ckpt").exists()
-
     def test_resume_rejects_mismatched_parameters(self, tmp_path, monkeypatch):
         out = tmp_path / "report.jsonl"
-        ckpt = tmp_path / "run.ckpt"
         calls = 0
         import absorb.harness as harness
 
@@ -239,18 +233,17 @@ class TestRunCorpus:
 
         monkeypatch.setattr(harness, "check_pair", killer)
         with pytest.raises(KeyboardInterrupt):
-            run_corpus(GenSpec(2, 2), OracleBounds(), str(out), resume=str(ckpt))
+            run_corpus(GenSpec(2, 2), OracleBounds(), str(out), resume=True)
         monkeypatch.setattr(harness, "check_pair", real)
-        assert ckpt.exists()
-        with pytest.raises(ValueError):
-            run_corpus(GenSpec(2, 2), OracleBounds(max_vars=2), str(out), resume=str(ckpt))
-
+        written = out.read_bytes()
+        with pytest.raises(ValueError, match="parameters"):
+            run_corpus(GenSpec(2, 2), OracleBounds(max_vars=2), str(out), resume=True)
+        assert out.read_bytes() == written
 
     def test_resume_rejects_a_different_table_stream(self, tmp_path, monkeypatch, binary2, binary3):
         import absorb.harness as harness
 
         out = tmp_path / "report.jsonl"
-        ckpt = tmp_path / "run.ckpt"
         real = harness.enumerate_subuniverses
         calls = 0
 
@@ -263,11 +256,11 @@ class TestRunCorpus:
 
         monkeypatch.setattr(harness, "enumerate_subuniverses", killer)
         with pytest.raises(KeyboardInterrupt):
-            run_corpus(binary3, OracleBounds(), str(out), resume=str(ckpt))
+            run_corpus(binary3, OracleBounds(), str(out), resume=True)
         monkeypatch.setattr(harness, "enumerate_subuniverses", real)
-        state = json.loads(ckpt.read_bytes())
-        assert state["tables_done"] == 5
         written = out.read_bytes()
+        done = {tuple(l["table"]) for l in read_report(out) if l["type"] == "pair"}
+        assert done == {t.entries for t in binary3[:5] if list(real(t, True))}
 
         # The first table relabeled: same table_digest, different raw entries.
         swap = (1, 0, 2)
@@ -276,18 +269,13 @@ class TestRunCorpus:
         )
         assert relabeled != binary3[0]
         assert table_digest(relabeled) == table_digest(binary3[0])
-        for tables in (binary2, [relabeled] + binary3[1:]):
+        for tables in (binary2, [relabeled] + binary3[1:], binary3[:3]):
             with pytest.raises(ValueError, match="table stream"):
-                run_corpus(tables, OracleBounds(), str(out), resume=str(ckpt))
-        del state["tables_sha256"]
-        old_ckpt = tmp_path / "old.ckpt"
-        old_ckpt.write_text(json.dumps(state))
-        with pytest.raises(ValueError, match="table stream"):
-            run_corpus(binary3, OracleBounds(), str(out), resume=str(old_ckpt))
-        assert out.read_bytes() == written
+                run_corpus(tables, OracleBounds(), str(out), resume=True)
+            assert out.read_bytes() == written
 
         # A stream that starts with the same five tables still resumes.
-        resumed = run_corpus(binary3[:8], OracleBounds(), str(out), resume=str(ckpt))
+        resumed = run_corpus(binary3[:8], OracleBounds(), str(out), resume=True)
         clean = tmp_path / "clean.jsonl"
         run_corpus(binary3[:8], OracleBounds(), str(clean))
         assert (resumed.status, resumed.tables) == ("consistent", 8)
@@ -296,89 +284,109 @@ class TestRunCorpus:
 
 QUICK = OracleBounds(max_vars=2, max_len=2)
 
-
-def record_checkpoints(monkeypatch, step, report):
-    """Advance time.perf_counter by step on each call and record every
-    checkpoint state run_corpus writes, with the report's size on disk then."""
-    import absorb.harness as harness
-
-    clock = {"now": 0.0}
-
-    def fake_perf_counter():
-        clock["now"] += step
-        return clock["now"]
-
-    written = []
-    real = harness._write_checkpoint
-
-    def recording(path, out, state):
-        real(path, out, state)
-        written.append((dict(state), os.path.getsize(report)))
-
-    monkeypatch.setattr(time, "perf_counter", fake_perf_counter)
-    monkeypatch.setattr(harness, "_write_checkpoint", recording)
-    return written
+# ternary a+b+c+1 mod 2: no proper closed subset, so no pair records
+ODD_SUM3 = NaryTable.from_function(3, 2, lambda a, b, c: (a + b + c + 1) % 2)
+# repeats a table back to back, then mixes in ternary tables of 1 and 2 pairs
+RESUME_STREAM = [ODD_SUM3, MIN2, MIN2, LEFT_ZERO, TMIN2, TZ2, NaryTable(3, 2, (0,) * 8),
+                 NaryTable.from_function(3, 2, lambda a, b, c: c)]
 
 
-class TestCheckpointThrottle:
-    def test_fewer_checkpoints_than_tables(self, tmp_path, monkeypatch, binary3):
+def cuts(body):
+    """Each line's first, middle and last byte offset, and the end."""
+    offsets = {len(body)}
+    start = 0
+    for line in body.splitlines(keepends=True):
+        end = start + len(line)
+        offsets |= {start, (start + end) // 2, end - 1}
+        start = end
+    return sorted(offsets)
+
+
+def assert_resumes_anywhere(tmp_path, tables):
+    """Cut a clean report at every offset of cuts(), resume, and compare."""
+    clean = tmp_path / "clean.jsonl"
+    expected = run_corpus(tables, QUICK, str(clean))
+    body = clean.read_bytes()
+    killed = tmp_path / "killed.jsonl"
+    for cut in cuts(body):
+        killed.write_bytes(body[:cut])
+        resumed = run_corpus(tables, QUICK, str(killed), resume=True)
+        assert killed.read_bytes() == body, cut
+        assert resumed.summary_record() == expected.summary_record(), cut
+    return expected
+
+
+class TestResume:
+    def test_kill_anywhere_resumes_byte_identically(self, tmp_path):
+        assert list(enumerate_subuniverses(ODD_SUM3, proper_only=True)) == []
+        report = assert_resumes_anywhere(tmp_path, RESUME_STREAM)
+        assert (report.status, report.tables, report.pairs) == ("consistent", 8, 13)
+
+    def test_fatal_abort_on_a_tables_last_pair_resumes(self, tmp_path, monkeypatch, binary3):
+        flip_to_disagree(monkeypatch, lambda r: r.sub.mask == 6)
+        report = assert_resumes_anywhere(tmp_path, binary3[:14])
+        assert (report.status, report.tables, report.pairs) == ("failed", 12, 47)
+        last = read_report(tmp_path / "clean.jsonl")[-2]
+        assert (last["sub_mask"], last["fatal"]) == (6, True)
+
+    def test_empty_report_or_half_written_header_starts_afresh(self, tmp_path):
+        clean = tmp_path / "clean.jsonl"
+        run_corpus(RESUME_STREAM, QUICK, str(clean))
+        body = clean.read_bytes()
+        header = body[: body.index(b"\n") + 1]
         out = tmp_path / "report.jsonl"
-        written = record_checkpoints(monkeypatch, step=0.3, report=out)
-        report = run_corpus(binary3, QUICK, str(out))
-        assert report.tables == len(binary3) == 113
-        assert 0 < len(written) < report.tables
-        done = [state["tables_done"] for state, _ in written]
-        assert done == sorted(set(done))
-        body = out.read_bytes()
-        for state, on_disk in written:
-            assert body[state["report_bytes"] - 1 : state["report_bytes"]] == b"\n"
-            assert on_disk >= state["report_bytes"]  # flushed with the checkpoint
+        for start in (b"", header[: len(header) // 2]):
+            out.write_bytes(start)
+            report = run_corpus(RESUME_STREAM, QUICK, str(out), resume=True)
+            assert out.read_bytes() == body
+            assert report.tables == len(RESUME_STREAM)
 
-    def test_exception_in_table_6_checkpoints_table_5(self, tmp_path, monkeypatch, binary3):
+    def test_records_of_other_subsets_are_refused(self, tmp_path):
+        out = tmp_path / "report.jsonl"
+        run_corpus(RESUME_STREAM, QUICK, str(out))
+        lines = out.read_bytes().splitlines(keepends=True)
+        assert [json.loads(l)["sub"] for l in lines[1:3]] == [[0], [1]]  # MIN2's pairs
+        lines[1:3] = lines[2:0:-1]
+        swapped = b"".join(lines)
+        out.write_bytes(swapped)
+        with pytest.raises(ValueError, match="table stream"):
+            run_corpus(RESUME_STREAM, QUICK, str(out), resume=True)
+        assert out.read_bytes() == swapped
+
+    def test_finished_report_continues_with_a_longer_stream(self, tmp_path, binary3):
+        out = tmp_path / "report.jsonl"
+        run_corpus(RESUME_STREAM, QUICK, str(out))
+        longer = RESUME_STREAM + binary3[:3]
+        report = run_corpus(longer, QUICK, str(out), resume=True)
+        clean = tmp_path / "clean.jsonl"
+        run_corpus(longer, QUICK, str(clean))
+        assert out.read_bytes() == clean.read_bytes()
+        assert report.tables == len(longer)
+
+    def test_only_the_report_is_written(self, tmp_path, monkeypatch):
         import absorb.harness as harness
 
         out = tmp_path / "report.jsonl"
-        ckpt = tmp_path / "run.ckpt"
-        written = record_checkpoints(monkeypatch, step=0.0, report=out)
-        real = harness.enumerate_subuniverses
-        calls = 0
+        run_corpus(RESUME_STREAM, QUICK, str(out))
+        assert os.listdir(tmp_path) == ["report.jsonl"]
 
-        def killer(table, proper_only):
-            nonlocal calls
-            calls += 1
-            if calls == 6:
-                raise RuntimeError("table 6")
-            return real(table, proper_only)
+        real = harness.check_pair
 
-        monkeypatch.setattr(harness, "enumerate_subuniverses", killer)
-        with pytest.raises(RuntimeError, match="table 6"):
-            run_corpus(binary3, QUICK, str(out), resume=str(ckpt))
-        assert [state["tables_done"] for state, _ in written] == [5]
-        state = json.loads(ckpt.read_bytes())
-        assert state["tables_done"] == 5
-        assert state["report_bytes"] == len(out.read_bytes())
+        def killer(table, sub, bounds):
+            if table.table.arity == 3:  # run_corpus passes TableFacts
+                raise KeyboardInterrupt
+            return real(table, sub, bounds)
 
-    def test_hard_kill_resumes_byte_identically(self, tmp_path, monkeypatch, binary3):
-        """A SIGKILL leaves a checkpoint older than the report's end and the
-        report cut inside a record of a later table."""
-        clean = tmp_path / "clean.jsonl"
-        written = record_checkpoints(monkeypatch, step=0.3, report=clean)
-        run_corpus(binary3, QUICK, str(clean))
-        monkeypatch.undo()
-        body = clean.read_bytes()
-        (state, _), (later, _) = written[1], written[3]
-        cut = later["report_bytes"] + 40
-        assert body[later["report_bytes"] : cut].count(b"\n") == 0
-        assert state["report_bytes"] < later["report_bytes"] < cut
+        monkeypatch.setattr(harness, "check_pair", killer)
+        with pytest.raises(KeyboardInterrupt):
+            run_corpus(RESUME_STREAM, QUICK, str(out))
+        assert os.listdir(tmp_path) == ["report.jsonl"]
 
-        killed = tmp_path / "killed.jsonl"
-        ckpt = tmp_path / "killed.ckpt"
-        killed.write_bytes(body[:cut])
-        ckpt.write_text(json.dumps(state))
-        resumed = run_corpus(binary3, QUICK, str(killed), resume=str(ckpt))
-        assert (resumed.status, resumed.tables) == ("consistent", len(binary3))
-        assert killed.read_bytes() == body
-        assert not ckpt.exists()
+        monkeypatch.setattr(harness, "check_pair", real)
+        flip_to_disagree(monkeypatch, lambda r: r.table == TZ2)
+        report = run_corpus(RESUME_STREAM, QUICK, str(out), resume=True)
+        assert report.status == "failed"
+        assert os.listdir(tmp_path) == ["report.jsonl"]
 
 
 def flip_to_disagree(monkeypatch, flips):
@@ -444,7 +452,6 @@ class TestRunStatus:
             "criterion absorbs but oracle found nothing within adequate bounds"
         ]
         assert lines[-1]["status"] == "failed"
-        assert not (tmp_path / "report.jsonl.ckpt").exists()
 
 
 class TestReportPins:
