@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceeded, LengthNotEvaluable, NotAssociative
 
@@ -24,23 +24,14 @@ SUBSET_SCAN_MAX_SIZE = 16
 # also keeps every element below 256, so canonical_form works on bytes.
 CANONICAL_PERM_MAX_SIZE = 6
 
-# Shapes whose m! relabelings span at most this many entries keep their
-# relabeling maps for the life of the process (about 11 MB at most per
-# shape); larger shapes, such as 5-ary tables of size 6, rebuild them on
-# each call.
-CANONICAL_CACHE_MAX_ENTRIES = 1 << 18
-
-# Subset plans are the flat indices a check on one subset gathers from the
-# entries; they depend only on (size, arity, subset).  Shapes of at most
-# PLAN_CACHE_MAX_ENTRIES entries keep them, each kind in an LRU cache of
-# PLAN_CACHE_SLOTS plans (every nonempty subset of a size-8 carrier); the
-# oracle's step table must hold at most that many offsets too.  Every index
-# is then below 256, one of the interpreter's shared small ints, so a slot
-# holds at most about 7 kB and the four plan caches at most about 5 MB, well
-# below a 16 MB bound (a test measures the largest plan of each kind).
-# Larger shapes build their index lists on each call.
-PLAN_CACHE_MAX_ENTRIES = 1 << 8
-PLAN_CACHE_SLOTS = 1 << 8
+# Plans are the index lists a check gathers from a table's entries (subset
+# checks, the oracle's closure steps, canonical relabelings); they depend
+# only on the shape and a key.  One cache keeps them for the life of the
+# process, bounded by the offsets its plans hold in total: a plan above the
+# budget is built for its call alone, and one that would pass it empties
+# the cache first.  Full, the cache holds about 10 MB (a test fills it
+# through real calls and measures below 16 MB).
+PLAN_CACHE_MAX_OFFSETS = 1 << 18
 
 _VAR_NAMES = "xyzuvw"
 
@@ -331,28 +322,26 @@ def _relabeling_sources(size: int, arity: int, perm: Sequence[int]) -> list[int]
     return sources
 
 
-def _relabeling_maps(
-    size: int, arity: int, anchors: Iterable[int]
-) -> Iterator[tuple[Callable, bytes]]:
-    """The relabelings of a (size, arity) table that send an anchor to 0,
-    each as a (gather, values) pair.
+def _relabelings(
+    size: int, arity: int, anchor: int
+) -> tuple[tuple[tuple[Callable, bytes], ...], int]:
+    """The relabelings of a (size, arity) table that send anchor to 0, each
+    as a (gather, values) pair, and their offset count.
 
     For a relabeling perm, the relabeled entries are
     bytes(gather(raw.translate(values))): values is the 256-byte translate
     table of perm, and gather is the itemgetter of its _relabeling_sources.
     Needs size >= 2, so that gather returns a tuple.
     """
-    anchors = set(anchors)
-    for perm in itertools.permutations(range(size)):
-        if perm.index(0) in anchors:
-            sources = _relabeling_sources(size, arity, perm)
-            yield operator.itemgetter(*sources), bytes(perm) + bytes(range(size, 256))
-
-
-@functools.cache
-def _relabelings(size: int, arity: int) -> tuple[tuple[tuple[Callable, bytes], ...], ...]:
-    """_relabeling_maps of one shape, built once, grouped by the element sent to 0."""
-    return tuple(tuple(_relabeling_maps(size, arity, (a,))) for a in range(size))
+    maps = tuple(
+        (
+            operator.itemgetter(*_relabeling_sources(size, arity, perm)),
+            bytes(perm) + bytes(range(size, 256)),
+        )
+        for perm in itertools.permutations(range(size))
+        if perm[anchor] == 0
+    )
+    return maps, len(maps) * size**arity
 
 
 def _canonical_bytes(table: NaryTable) -> bytes:
@@ -372,11 +361,7 @@ def _canonical_bytes(table: NaryTable) -> bytes:
         return bytes(table.entries)
     diagonal = _diagonal(m, n)
     anchors = [a for a in range(m) if table.entries[a * diagonal] == a] or range(m)
-    if math.factorial(m) * m**n <= CANONICAL_CACHE_MAX_ENTRIES:
-        groups = _relabelings(m, n)
-        maps = itertools.chain.from_iterable(groups[a] for a in anchors)
-    else:
-        maps = _relabeling_maps(m, n, anchors)
+    maps = itertools.chain.from_iterable(_plan(_relabelings, m, n, a) for a in anchors)
     raw = bytes(table.entries)
     return min(bytes(gather(raw.translate(values))) for gather, values in maps)
 
@@ -443,29 +428,40 @@ def _gather(indices: Sequence[int]) -> Callable:
     return operator.itemgetter(*indices)
 
 
-def _plan(builder: Callable, table: NaryTable, *key: int, plan_size: int = 0):
-    """builder(size, arity, *key) from its LRU cache when the table has at
-    most PLAN_CACHE_MAX_ENTRIES entries and plan_size, the number of
-    offsets a plan that is not a subset's index list holds, is at most
-    that too; otherwise built for this call alone."""
-    if len(table.entries) <= PLAN_CACHE_MAX_ENTRIES and plan_size <= PLAN_CACHE_MAX_ENTRIES:
-        return builder(table.size, table.arity, *key)
-    return builder.__wrapped__(table.size, table.arity, *key)
+_plans: dict[tuple, object] = {}
+_plan_offsets = 0
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SLOTS)
-def _subset_plan(size: int, arity: int, mask: int) -> tuple[Subuniverse, Callable]:
+def _plan(builder: Callable, size: int, arity: int, *key: int):
+    """The plan of builder(size, arity, *key), which returns (plan, offsets),
+    from the plan cache; kept there when offsets fit the budget."""
+    global _plan_offsets
+    cache_key = (builder, size, arity, *key)
+    plan = _plans.get(cache_key)
+    if plan is None:
+        plan, offsets = builder(size, arity, *key)
+        if offsets <= PLAN_CACHE_MAX_OFFSETS:
+            if _plan_offsets + offsets > PLAN_CACHE_MAX_OFFSETS:
+                _plans.clear()
+                _plan_offsets = 0
+            _plans[cache_key] = plan
+            _plan_offsets += offsets
+    return plan
+
+
+def _subset_plan(size: int, arity: int, mask: int) -> tuple[tuple[Subuniverse, Callable], int]:
     """The subset with this mask, and the gather of the entries of every
     arity-tuple over it."""
     sub = Subuniverse.from_mask(size, mask)
-    return sub, _gather(_power_indices(size, arity, sub.elements))
+    indices = _power_indices(size, arity, sub.elements)
+    return (sub, _gather(indices)), len(indices)
 
 
 def is_closed(table: NaryTable, sub: Subuniverse) -> bool:
     """Every n-tuple from the subset lands back in the subset."""
     if sub.carrier_size != table.size:
         raise ValueError("subuniverse carrier does not match table size")
-    _, gather = _plan(_subset_plan, table, sub.mask)
+    _, gather = _plan(_subset_plan, table.size, table.arity, sub.mask)
     return sub.members.issuperset(gather(table.entries))
 
 
@@ -479,10 +475,10 @@ def enumerate_subuniverses(table: NaryTable, proper_only: bool) -> list[Subunive
             f"subuniverse scan over 2^{m} subsets exceeds the cap of {SUBSET_SCAN_MAX_SIZE}"
         )
     full = (1 << m) - 1
-    entries = table.entries
+    n, entries = table.arity, table.entries
     found = []
     for mask in range(1, full if proper_only else full + 1):
-        sub, gather = _plan(_subset_plan, table, mask)
+        sub, gather = _plan(_subset_plan, m, n, mask)
         if sub.members.issuperset(gather(entries)):
             found.append(sub)
     return found

@@ -8,14 +8,12 @@ detect_case records which proved case (if any) certifies the verdict.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 from .core import (
-    PLAN_CACHE_SLOTS,
     NaryTable,
     Subuniverse,
     TableFacts,
@@ -72,8 +70,7 @@ class AbsorptionVerdict:
     proof_status: CaseTag
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SLOTS)
-def _cond2_plan(size: int, arity: int, mask: int) -> Callable:
+def _cond2_plan(size: int, arity: int, mask: int) -> tuple[Callable, int]:
     """The gather of a b^(n-1) and b^(n-1) a over every a and every b in
     the subset with this mask.
 
@@ -85,26 +82,28 @@ def _cond2_plan(size: int, arity: int, mask: int) -> Callable:
     top = size ** (arity - 1)
     indices = [a * top + b * r for b in elements for a in range(size)]
     indices += [b * size * r + a for b in elements for a in range(size)]
-    return _gather(indices)
+    return _gather(indices), len(indices)
 
 
 def cond2_products(table: NaryTable, sub: Subuniverse) -> bool:
     """Padded products a b^(n-1) and b^(n-1) a stay in the subset."""
-    return sub.members.issuperset(_plan(_cond2_plan, table, sub.mask)(table.entries))
+    gather = _plan(_cond2_plan, table.size, table.arity, sub.mask)
+    return sub.members.issuperset(gather(table.entries))
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SLOTS)
-def _cond3_plan(size: int, arity: int, mask: int) -> Callable:
+def _cond3_plan(size: int, arity: int, mask: int) -> tuple[Callable, int]:
     """The gather of every entry except those of (A minus B)^n, for the
     subset B with this mask."""
     outside = [a for a in range(size) if not mask >> a & 1]
     skipped = set(_power_indices(size, arity, outside))
-    return _gather([i for i in range(size**arity) if i not in skipped])
+    indices = [i for i in range(size**arity) if i not in skipped]
+    return _gather(indices), len(indices)
 
 
 def cond3_products(table: NaryTable, sub: Subuniverse) -> bool:
     """Every n-tuple with at least one coordinate in the subset lands in it."""
-    return sub.members.issuperset(_plan(_cond3_plan, table, sub.mask)(table.entries))
+    gather = _plan(_cond3_plan, table.size, table.arity, sub.mask)
+    return sub.members.issuperset(gather(table.entries))
 
 
 def detect_case(table: NaryTable | TableFacts, sub: Subuniverse) -> CaseTag:

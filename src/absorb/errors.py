@@ -34,6 +34,6 @@ class PreconditionsUnmet(AbsorbError):
 
 
 class AttemptCapExhausted(UserWarning):
-    """Random sampling hit its attempt cap before producing the requested
-    number of tables.  Reported via warnings.warn, never raised: the stream
-    simply ends early."""
+    """Random sampling read its budget of associativity tuples across all
+    draws before producing the requested number of tables.  Reported via
+    warnings.warn, never raised: the stream simply ends early."""

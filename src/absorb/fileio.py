@@ -99,8 +99,8 @@ def read_corpus_dir(dirpath: str) -> tuple[list[NaryTable], dict]:
     if os.path.exists(meta_path):
         meta = _load_object(meta_path)
         files = meta.get("files")
-        if files is None:
-            raise ValueError(f"{meta_path}: missing 'files' list")
+        if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
+            raise ValueError(f"{meta_path}: 'files' must be a list of file names")
     else:
         meta = {}
         files = sorted(

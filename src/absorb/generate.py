@@ -43,13 +43,13 @@ GENERATOR_NAME = "mt19937"
 
 MODES = ("exhaustive", "power", "random")
 
-DEFAULT_ATTEMPT_CAP = 1_000_000
-
-# Sampling budget: (2n-1)-tuples one draw's associativity check may read.
-# is_associative builds a list of m**(2n-1) values per bracketing, so 7-ary
-# tables of size 7 (7**13 tuples) would never finish one draw, while 4-ary
-# tables of size 4 read 4**7 = 16,384 tuples per draw.
+# Sampling budgets: (2n-1)-tuples one draw's associativity check may read,
+# and that all draws of one stream may read together.  is_associative
+# builds a list of m**(2n-1) values per bracketing, so 7-ary tables of size
+# 7 (7**13 tuples) would never finish one draw, while 4-ary tables of size 4
+# read 4**7 = 16,384 tuples per draw and stop after 4,096 draws.
 MAX_ASSOC_TUPLES = 1 << 22
+MAX_SAMPLE_TUPLES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -281,7 +281,8 @@ def random_filtered(
     Draws uniformly over the structural-filter subspace (diagonal pinned by
     idempotent, one value per argument-permutation orbit for commutative)
     and keeps a draw iff the table is associative.  Ends after `count`
-    keepers, or earlier with an AttemptCapExhausted warning.
+    keepers, or earlier with an AttemptCapExhausted warning when the next
+    draw would take the tuples read past MAX_SAMPLE_TUPLES.
     """
     tuples = size ** (2 * arity - 1)
     if tuples > MAX_ASSOC_TUPLES:
@@ -295,16 +296,17 @@ def random_filtered(
     for c, v in forced.items():
         template[c] = v
     kept = 0
-    attempts = 0
+    draws = 0
     while kept < count:
-        if attempts >= DEFAULT_ATTEMPT_CAP:
+        if (draws + 1) * tuples > MAX_SAMPLE_TUPLES:
             warnings.warn(
                 AttemptCapExhausted(
-                    f"attempt cap {DEFAULT_ATTEMPT_CAP} exhausted after {kept} of {count} tables"
+                    f"sampling budget of {MAX_SAMPLE_TUPLES} tuples exhausted after "
+                    f"{draws} draws and {kept} of {count} tables"
                 )
             )
             return
-        attempts += 1
+        draws += 1
         cells = list(template)
         for unit in units:
             v = rng.randrange(size)

@@ -151,13 +151,11 @@ class PairReport:
 
     @property
     def counterexample(self) -> bool:
-        """Any violation, or an oracle hit against a conjectural negative
-        verdict: a research finding, not an implementation bug."""
-        return bool(self.violations) or (
-            self.agreement is Agreement.DISAGREE
-            and not self.verdict.absorbs
-            and not self.verdict.proof_status.is_proved()
-        )
+        """Any violation or disagreement.  A disagreement on an absorbing
+        or proved pair is a violation; one on a conjectural negative verdict
+        is an oracle hit against it: a research finding, not an
+        implementation bug."""
+        return bool(self.violations) or self.agreement is Agreement.DISAGREE
 
     def to_record(self) -> dict:
         return {

@@ -9,13 +9,11 @@ word-by-word reference the closure is tested against.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
-    PLAN_CACHE_SLOTS,
     NaryTable,
     Subuniverse,
     Word,
@@ -98,10 +96,9 @@ def _exponent(table: NaryTable) -> int | None:
     return k
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SLOTS)
-def _closure_plan(size: int, arity: int, max_vars: int, mask: int) -> tuple:
+def _closure_plan(size: int, arity: int, max_vars: int, mask: int) -> tuple[tuple, int]:
     """The table-independent part of the closure over the subset with this
-    mask: the vector of the word x, and the steps.
+    mask: the vector of the word x and the steps, and their offset count.
 
     The assignment list is the domain D, then the size diagonal ones.  Each
     step appends one tuple of arity-1 letters, as the flat-index offsets of
@@ -123,7 +120,7 @@ def _closure_plan(size: int, arity: int, max_vars: int, mask: int) -> tuple:
         for x in letters:
             offsets = [o * size + c for o, c in zip(offsets, columns[x])]
         steps.append((letters, tuple(offsets)))
-    return columns[0], tuple(steps)
+    return (columns[0], tuple(steps)), len(steps) * len(columns[0])
 
 
 def _require_proper_closed(table: NaryTable, sub: Subuniverse) -> None:
@@ -188,10 +185,7 @@ def search_absorbing_term(
 
     n, m, v, entries = table.arity, table.size, bounds.max_vars, table.entries
     members = sub.members
-    inside = len(members)
-    # one offset per step and assignment: v^(n-1) steps over |D| + m assignments
-    plan_size = v ** (n - 1) * (v * inside ** (v - 1) * (m - inside) + m)
-    start, steps = _plan(_closure_plan, table, v, sub.mask, plan_size=plan_size)
+    start, steps = _plan(_closure_plan, m, n, v, sub.mask)
     diagonal = start[-m:]
     stride = m ** (n - 1)
 

@@ -73,6 +73,34 @@ class TestFileFormats:
         assert [t.entries for t in tables] == [MIN2.entries, Z2.entries]
         assert read_meta["genspec"]["size"] == 2
 
+    def test_corpus_dir_without_meta_reads_sorted_json_files(self, tmp_path):
+        corpus = tmp_path / "c"
+        write_corpus_dir(str(corpus), GenSpec(2, 2), [MIN2, Z2])
+        (corpus / "corpus.json").unlink()
+        save_algebra(str(corpus / "a.json"), TZ2)
+        (corpus / "notes.txt").write_text("not a table")
+        tables, meta = read_corpus_dir(str(corpus))
+        assert [t.entries for t in tables] == [TZ2.entries, MIN2.entries, Z2.entries]
+        assert meta == {}
+
+    @pytest.mark.parametrize("files", [[1], "ab", None])
+    def test_corpus_files_must_be_a_list_of_names(self, capsys, tmp_path, files):
+        corpus = tmp_path / "c"
+        write_corpus_dir(str(corpus), GenSpec(2, 2), [MIN2])
+        # "ab" would otherwise name the files "a" and "b"
+        for name in ("a", "b"):
+            save_algebra(str(corpus / name), MIN2)
+        meta = json.loads((corpus / "corpus.json").read_text())
+        meta["files"] = files
+        (corpus / "corpus.json").write_text(json.dumps(meta))
+        message = f"{corpus / 'corpus.json'}: 'files' must be a list of file names"
+        with pytest.raises(ValueError, match="'files' must be a list of file names"):
+            read_corpus_dir(str(corpus))
+        capsys.readouterr()
+        code = main(["verify-conjecture", "--corpus", str(corpus), "--report", str(tmp_path / "r")])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestCheck:
     def test_both_methods_agree(self, capsys, files):

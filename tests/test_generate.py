@@ -170,10 +170,20 @@ class TestRandomFiltered:
         assert list(random_filtered(2, 2, 0, 3)) == []
 
     def test_attempt_cap_warns_and_ends_stream(self, monkeypatch):
-        monkeypatch.setattr(absorb.generate, "DEFAULT_ATTEMPT_CAP", 40)
-        with pytest.warns(AttemptCapExhausted):
+        # 40 draws of 2**3 tuples each
+        monkeypatch.setattr(absorb.generate, "MAX_SAMPLE_TUPLES", 40 * 8)
+        with pytest.warns(AttemptCapExhausted, match="after 40 draws"):
             got = list(random_filtered(2, 2, 10_000, 0))
         assert len(got) < 10_000
+
+    def test_tuple_budget_ends_a_four_ary_stream(self, monkeypatch):
+        # a 4-ary draw of size 4 reads 4**7 tuples: 5 draws, then the
+        # sixth would pass the budget
+        monkeypatch.setattr(absorb.generate, "MAX_SAMPLE_TUPLES", 6 * 4**7 - 1)
+        started = time.perf_counter()
+        with pytest.warns(AttemptCapExhausted, match="after 5 draws and 0 of 3 tables"):
+            assert list(random_filtered(4, 4, 3, 0)) == []
+        assert time.perf_counter() - started < 1.0
 
     def test_budget_counts_tuples_before_building_units(self):
         # one associativity check would read 7**13 tuples
@@ -241,15 +251,15 @@ class TestCanonicalForm:
             assert canonical_form(t) == naive_canonical_form(t), t
 
     def test_uncached_shapes_match_naive(self, monkeypatch):
-        monkeypatch.setattr(absorb.core, "CANONICAL_CACHE_MAX_ENTRIES", 0)
-        absorb.core._relabelings.cache_clear()
+        monkeypatch.setattr(absorb.core, "PLAN_CACHE_MAX_OFFSETS", 0)
+        monkeypatch.setattr(absorb.core, "_plans", {})
         rng = random.Random(7)
         tables = [NaryTable(3, 2, e) for e in itertools.product(range(2), repeat=8)]
         tables += enumerate_tables(GenSpec(3, 2))
         tables += [NaryTable(2, 6, tuple(rng.randrange(6) for _ in range(36))) for _ in range(3)]
         for t in tables:
             assert canonical_form(t) == naive_canonical_form(t), t
-        assert absorb.core._relabelings.cache_info().currsize == 0
+        assert not absorb.core._plans
 
 
 class TestDedup:
