@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict, fields
 
 from .core import compute_exponent, is_associative, power_profile, table_facts
 from .criteria import decide_theorem, derive_power_algebra
-from .errors import AbsorbError
+from .errors import AbsorbError, AttemptCapExhausted
 from .fileio import load_algebra, load_subuniverse, read_corpus_dir, save_algebra, write_corpus_dir
 from .generate import MODES, GenSpec, enumerate_tables
 from .harness import (
@@ -79,10 +80,21 @@ def _cmd_exponent(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    """A random stream that ends short of --count still writes its corpus,
+    but exits 1."""
     spec = GenSpec(**{f.name: getattr(args, f.name) for f in fields(GenSpec)})
-    meta = write_corpus_dir(args.out, spec, enumerate_tables(spec))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", AttemptCapExhausted)
+        meta = write_corpus_dir(args.out, spec, enumerate_tables(spec))
     _emit({"count": meta["count"], "out": args.out})
-    return 0
+    code = 0
+    for w in caught:
+        if issubclass(w.category, AttemptCapExhausted):
+            print(f"error: {w.message}", file=sys.stderr)
+            code = 1
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return code
 
 
 def _cmd_verify_conjecture(args) -> int:

@@ -3,11 +3,13 @@
 check_pair runs both decision routes on one (table, sub) pair and its
 PairReport says what the pair means: whether the two routes agree, which
 proved facts it violates, and whether it is a counterexample.  run_corpus
-streams pairs from a generator or an explicit table list, writes one
-self-contained JSON record per line, and classifies the outcome
-(consistent / counterexample-candidate / failed).  The report is its own
-checkpoint: each record names its table and subset, so an interrupted run
-resumes from the report alone and comes out byte-identical.
+streams tables from a generator or an explicit table list, writes one
+JSON record per line (a table record, then one pair record per proper
+subuniverse of that table), and classifies the outcome (consistent /
+counterexample-candidate / failed).  The report is its own checkpoint: a
+table record gives the table, each pair record its subset, so an
+interrupted run resumes from the report alone and comes out
+byte-identical.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .generate import GENERATOR_NAME, GenSpec, enumerate_tables
 from .oracle import OracleBounds, OracleOutcome, OracleStop, search_absorbing_term
 from .version import VERSION
 
-REPORT_FORMAT = "absorb-report/2"
+REPORT_FORMAT = "absorb-report/3"
 
 STATUS_CONSISTENT = "consistent"
 STATUS_CANDIDATE = "counterexample-candidate"
@@ -108,7 +110,6 @@ class PairReport:
 
     table: NaryTable
     sub: Subuniverse
-    table_id: str
     cond3: bool
     verdict: AbsorptionVerdict
     oracle: OracleOutcome
@@ -158,25 +159,30 @@ class PairReport:
         return bool(self.violations) or self.agreement is Agreement.DISAGREE
 
     def to_record(self) -> dict:
+        """The pair's facts; its table is in the table record before it.
+        cond2 and the proof case are read from the verdict."""
         return {
             "type": "pair",
-            "table_id": self.table_id,
-            "arity": self.table.arity,
-            "size": self.table.size,
-            "table": list(self.table.entries),
             "sub": list(self.sub.elements),
-            "sub_mask": self.sub.mask,
-            "cond2": self.cond2,
             "cond3": self.cond3,
-            "exponent_k": self.verdict.exponent_k,
             "verdict": verdict_record(self.verdict),
             "oracle": oracle_record(self.oracle),
             "agreement": self.agreement.value,
-            "case": self.verdict.proof_status.value,
             "counterexample": self.counterexample,
             "fatal": bool(self.violations),
             "violations": list(self.violations),
         }
+
+
+def table_record(facts: TableFacts) -> dict:
+    table = facts.table
+    return {
+        "type": "table",
+        "table_id": facts.digest,
+        "arity": table.arity,
+        "size": table.size,
+        "table": list(table.entries),
+    }
 
 
 def word_record(word: Word | None) -> dict | None:
@@ -217,6 +223,7 @@ class CorpusReport:
     cases: dict[str, int] = field(default_factory=lambda: {c.value: 0 for c in CaseTag})
     counterexamples: list[dict] = field(default_factory=list)
     wall_time: float = 0.0
+    last_table: dict = field(default_factory=dict, repr=False)  # for the pairs that follow it
 
     @property
     def status(self) -> str:
@@ -228,14 +235,18 @@ class CorpusReport:
         return STATUS_CONSISTENT
 
     def add_record(self, record: dict) -> None:
+        """Tally one table or pair record, in report order."""
+        if record["type"] == "table":
+            self.tables, self.last_table = self.tables + 1, record
+            return
         self.pairs += 1
         self.agreements[record["agreement"]] += 1
-        self.cases[record["case"]] += 1
+        self.cases[record["verdict"]["proof_status"]] += 1
         if record["counterexample"]:
             self.counterexamples.append(
                 {
-                    "table_id": record["table_id"],
-                    "table": record["table"],
+                    "table_id": self.last_table["table_id"],
+                    "table": self.last_table["table"],
                     "sub": record["sub"],
                     "fatal": record["fatal"],
                 }
@@ -264,7 +275,6 @@ def check_pair(
     return PairReport(
         table=table,
         sub=sub,
-        table_id=facts.digest,
         cond3=cond3_products(table, sub),
         verdict=verdict,
         oracle=outcome,
@@ -333,22 +343,11 @@ def _header_record(source_echo: dict, bounds: OracleBounds, meta: dict | None) -
     }
 
 
-def _table_records(f: BinaryIO, table: NaryTable) -> list[dict] | None:
-    """The table's pair records, read from f; None when they are missing, cut
-    short or end in a fatal record, so the run must redo the table."""
-    entries = list(table.entries)
-    records = []
+def _expected_records(table: NaryTable) -> Iterator[tuple[str, str, list[int]]]:
+    """(type, key, value) of the records a run writes for table, in order."""
+    yield "table", "table", list(table.entries)
     for sub in enumerate_subuniverses(table, proper_only=True):
-        line = f.readline()
-        record = json.loads(line) if line.endswith(b"\n") else {}
-        if record.get("type") != "pair":  # cut short, or a shorter run's summary
-            return None
-        if (record["table"], record["sub"]) != (entries, list(sub.elements)):
-            raise ValueError("report does not match this run's table stream")
-        if record["fatal"]:
-            return None
-        records.append(record)
-    return records
+        yield "pair", "sub", list(sub.elements)
 
 
 def _resume(
@@ -358,8 +357,11 @@ def _resume(
     it holds complete, and return the tables still to run; None when it
     holds no complete header, so the run starts afresh.
 
-    Raises ValueError, leaving the file as it is, unless the header is this
-    run's and each record names the table and subset this stream puts there.
+    A table is complete when its table record and all its pair records are
+    there and none is fatal.  Raises ValueError, leaving the file as it is,
+    unless the header is this run's, each table record holds the table and
+    each pair record the subset this stream puts there, and every line the
+    walk reads is a JSON object with the keys it reads.
     """
     try:
         f = open(path, "r+b")
@@ -372,21 +374,56 @@ def _resume(
                 return None
             raise ValueError(f"report {path} does not match this run's parameters")
         kept = f.tell()
-        for table in tables:
-            records = _table_records(f, table)
-            if records is None:
+        lines = enumerate(iter(f.readline, b""), start=2)
+        number = 1
+        try:
+            for table in tables:
+                unit = []
+                for kind, key, value in _expected_records(table):
+                    number, line = next(lines, (number, b""))
+                    if not line.endswith(b"\n"):
+                        break  # cut short
+                    record = json.loads(line)
+                    if record["type"] == "summary":
+                        break  # a shorter run's summary
+                    if record["type"] != kind or record[key] != value:
+                        raise ValueError(
+                            f"report {path} line {number}: not this run's table stream"
+                        )
+                    if kind == "pair" and record["fatal"]:
+                        break
+                    unit.append((number, record))
+                else:
+                    for number, record in unit:
+                        report.add_record(record)
+                    kept = f.tell()
+                    continue
                 tables = itertools.chain([table], tables)
                 break
-            for record in records:
-                report.add_record(record)
-            report.tables += 1
-            kept = f.tell()
-        else:
-            line = f.readline()
-            if line.endswith(b"\n") and json.loads(line)["type"] == "pair":
-                raise ValueError("report holds more tables than this run's table stream")
+            else:
+                number, line = next(lines, (number, b""))
+                if line.endswith(b"\n") and json.loads(line)["type"] != "summary":
+                    raise ValueError(
+                        f"report {path} line {number}: more tables than this run's table stream"
+                    )
+        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+            raise ValueError(
+                f"report {path} line {number}: not a report record ({type(exc).__name__}: {exc})"
+            ) from None
         f.truncate(kept)
     return tables
+
+
+def _records(tables: Iterable[NaryTable], bounds: OracleBounds) -> Iterator[dict]:
+    """Each table's record, then its pair records, until a fatal pair."""
+    for table in tables:
+        facts = table_facts(table)
+        yield table_record(facts)
+        for sub in enumerate_subuniverses(table, proper_only=True):
+            pair = check_pair(facts, sub, bounds)
+            yield pair.to_record()
+            if pair.violations:
+                return
 
 
 def run_corpus(
@@ -398,10 +435,11 @@ def run_corpus(
 ) -> CorpusReport:
     """Check every (table, proper closed sub) pair of the corpus.
 
-    Writes one pair record per line to out_path plus a final summary
-    record.  With resume, a killed run continues from the report it left:
-    the tables it holds complete are tallied, not redone, and the bytes
-    come out as a fresh run's (see _resume).  Otherwise out_path is
+    Writes the header, then for each table its table record and one pair
+    record per proper subuniverse, one per line, to out_path, and a final
+    summary record.  With resume, a killed run continues from the report
+    it left: the tables it holds complete are tallied, not redone, and the
+    bytes come out as a fresh run's (see _resume).  Otherwise out_path is
     overwritten.  Proved-case inconsistencies abort the run as failed;
     conjectural oracle-vs-criterion conflicts are flagged as
     counterexample candidates and the run continues.
@@ -417,24 +455,13 @@ def run_corpus(
     header_bytes = _dump(_header_record(source_echo, bounds, meta))
     report = CorpusReport()
     pending = _resume(out_path, header_bytes, tables, report) if resume else None
-    aborted = False
     with open(out_path, "wb" if pending is None else "ab") as out:
         if pending is None:
             out.write(header_bytes)
             pending = tables
-        for table in pending:
-            facts = table_facts(table)
-            for sub in enumerate_subuniverses(table, proper_only=True):
-                pair = check_pair(facts, sub, bounds)
-                record = pair.to_record()
-                out.write(_dump(record))
-                report.add_record(record)
-                if pair.violations:
-                    aborted = True
-                    break
-            report.tables += 1
-            if aborted:
-                break
+        for record in _records(pending, bounds):
+            out.write(_dump(record))
+            report.add_record(record)
         out.write(_dump(report.summary_record()))
 
     report.wall_time = time.perf_counter() - started

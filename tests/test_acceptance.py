@@ -126,11 +126,11 @@ def test_criterion_5_implication_chain(all_reports):
         if r.verdict.exponent_k is None:
             continue
         if r.cond2 and not r.cond3:
-            violations.append((r.table_id, r.sub.elements, "cond2 without cond3"))
+            violations.append((r.table.entries, r.sub.elements, "cond2 without cond3"))
         if r.cond3:
             witness = construct_witness(r.table, r.sub, r.verdict.exponent_k)
             if not verify_witness(r.table, r.sub, witness):
-                violations.append((r.table_id, r.sub.elements, "witness rejected"))
+                violations.append((r.table.entries, r.sub.elements, "witness rejected"))
     assert violations == []
     _announce(5, f"implication chain holds on all {len(all_reports)} pairs checked")
 
@@ -198,7 +198,7 @@ def test_criterion_9_ternary_fact_probes(all_reports):
             continue
         seen.add(key)
         probes = derived_fact_probes(r.table, r.sub)
-        assert all(holds for _, holds in probes), (r.table_id, probes)
+        assert all(holds for _, holds in probes), (r.table.entries, probes)
         checked += 1
     assert checked > 0
     _announce(9, f"all proof-step facts hold on {checked} idempotent-ternary pairs")

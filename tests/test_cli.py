@@ -4,6 +4,7 @@ import os
 import pytest
 
 import absorb.cli
+import absorb.generate
 from absorb.cli import main
 from absorb.fileio import (
     load_algebra,
@@ -226,6 +227,48 @@ class TestEnumerateAndVerify:
         report.write_bytes(clean[2][: len(clean[2]) // 2])
         resumed = (main(argv + ["--resume"]), capsys.readouterr().out, report.read_bytes())
         assert resumed == clean
+
+    @pytest.mark.parametrize(
+        "edit, number",
+        [
+            (lambda lines: lines.__setitem__(1, b"[]\n"), 2),
+            (lambda lines: lines.__setitem__(1, b'{"type": "pair"}\n'), 2),
+            (lambda lines: lines.__setitem__(1, b"xx\n"), 2),
+            (lambda lines: lines.insert(-1, b"7\n"), 22),  # after the last pair
+            (lambda lines: lines.__setitem__(2, lines[2].replace(b'"agreement"', b'"agreed"')), 3),
+        ],
+        ids=["array", "bare-pair", "not-json", "trailing-number", "no-agreement"],
+    )
+    def test_resume_refuses_a_malformed_line(self, capsys, tmp_path, edit, number):
+        corpus = str(tmp_path / "corpus")
+        assert main(["enumerate", "--size", "2", "--arity", "3", "--out", corpus]) == 0
+        report = tmp_path / "report.jsonl"
+        argv = ["verify-conjecture", "--corpus", corpus, "--report", str(report)]
+        assert main(argv) == 0
+        lines = report.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 22 and b'"agreement"' in lines[2]
+        edit(lines)
+        report.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: report {report} line {number}: ")
+        assert report.read_bytes() == b"".join(lines)
+
+    def test_short_random_corpus_is_an_error(self, capsys, tmp_path, monkeypatch):
+        # each 4-ary draw of size 3 reads 3**7 tuples: 5 draws, none associative
+        monkeypatch.setattr(absorb.generate, "MAX_SAMPLE_TUPLES", 6 * 3**7 - 1)
+        out = tmp_path / "short"
+        argv = ["enumerate", "--size", "3", "--arity", "4", "--mode", "random",
+                "--count", "30", "--seed", "4", "--dedup", "--out", str(out)]
+        assert main(argv) == 1
+        stdout, stderr = capsys.readouterr()
+        assert json.loads(stdout) == {"count": 0, "out": str(out)}
+        assert stderr == (
+            "error: sampling budget of 13121 tuples exhausted after 5 draws and 0 of 30 tables\n"
+        )
+        tables, meta = read_corpus_dir(str(out))  # the corpus is still written
+        assert (tables, meta["count"]) == ([], 0)
 
     def test_random_mode_reproducible(self, capsys, tmp_path):
         argv = ["enumerate", "--size", "3", "--arity", "3", "--commutative",

@@ -24,11 +24,13 @@ from absorb import (
     derived_fact_probes,
     enumerate_pairs,
     enumerate_subuniverses,
+    enumerate_tables,
     run_corpus,
     table_digest,
 )
 from absorb.cli import main
 from absorb.fileio import save_algebra
+from absorb.harness import table_record
 from conftest import LEFT_ZERO, MIN2, NULL2, SUB0, SUB01_OF3, TMIN2, TMIN3, TZ2, Z2
 from test_core import ASSOC_SMALL
 from test_criteria import PROJ_KILL_T
@@ -39,11 +41,22 @@ FACT_NAMES = ["abbab", "babba", "aab", "baa", "aabaa", "bab", "abb", "bba"]
 # the header carries the package version.  The ternary power corpus is the
 # one whose oracle closes the most three-variable terms.
 REPORT_BODY_SHA256 = {
+    GenSpec(2, 2): "d19572c860915c6f231c4ed0212a727b2f72f0315b52aecad4afb04d809ec490",
+    GenSpec(3, 2): "0256a791f6caf5a831682b228e970fd6986f5bb103816e823e077b7ddbcdea88",
+    GenSpec(2, 3): "6262d9a64cedfdcc9aeb6ab0bb34a8ebd1e9539abae9a1034c17cd61a3e354bb",
+    GenSpec(3, 3, mode="power"): "1d34810bc04bc35cb6130dd3492a1279af79d97aa7587bf2f40ee762491d6c94",
+}
+# The same bodies in absorb-report/2, where each pair record repeated its
+# table and four fields derived from others; format2_body rebuilds them.
+FORMAT2_BODY_SHA256 = {
     GenSpec(2, 2): "56bd9a942e6c6bbd0b51a956e05261ab953d10df260c2b40c706bc79b3f1aa36",
     GenSpec(3, 2): "ad284b5b1f4d7656fe4c6b07f7dd94149472f3ab2adeea5aa140fa32b63cacbc",
     GenSpec(2, 3): "2beae4b5fa53af490e3cba9edc4c422651537d99c47b93897d9ee6139ac90ac5",
     GenSpec(3, 3, mode="power"): "efc34874f4fb2aa75acf7af77d8e37483918758e05fa5cf36ad326348ef91cc9",
 }
+TABLE_KEYS = {"type", "table_id", "arity", "size", "table"}
+PAIR_KEYS = {"type", "sub", "cond3", "verdict", "oracle", "agreement", "counterexample",
+             "fatal", "violations"}
 
 TABLE_FACT_FUNCTIONS = ("is_associative", "table_digest", "is_commutative", "is_idempotent")
 # table_facts and the oracle each compute the exponent once per table
@@ -53,6 +66,39 @@ COUNTED_FUNCTIONS = TABLE_FACT_FUNCTIONS + ("compute_exponent",)
 def read_report(path):
     with open(path, "rb") as f:
         return [json.loads(line) for line in f]
+
+
+def with_tables(records):
+    """(table record, record) for each pair record, its table the last before it."""
+    table = None
+    for record in records:
+        if record["type"] == "table":
+            table = record
+        elif record["type"] == "pair":
+            yield table, record
+
+
+def format2_body(body):
+    """The absorb-report/2 body of an absorb-report/3 body: table records
+    dropped, and each pair record given back its table's fields, its subset's
+    mask, and cond2, exponent_k and case as read from its verdict."""
+    out = []
+    for line in body.splitlines():
+        record = json.loads(line)
+        if record["type"] == "table":
+            table = record
+            continue
+        if record["type"] == "pair":
+            verdict = record["verdict"]
+            record.update(
+                {key: table[key] for key in ("table_id", "arity", "size", "table")},
+                sub_mask=sum(1 << e for e in record["sub"]),
+                cond2=verdict["failed_condition"] != "ProductsEscapeB",
+                exponent_k=verdict["exponent_k"],
+                case=verdict["proof_status"],
+            )
+        out.append(absorb.harness._dump(record))
+    return b"".join(out)
 
 
 @pytest.fixture(scope="module")
@@ -110,12 +156,16 @@ class TestCheckPair:
         assert not r.oracle.found
         assert r.agreement is Agreement.AGREE
 
-    def test_record_is_self_contained(self):
+    def test_table_and_pair_record_keys(self):
         record = check_pair(MIN2, SUB0, OracleBounds()).to_record()
-        assert record["table"] == list(MIN2.entries)
+        assert set(record) == PAIR_KEYS
+        assert record["type"] == "pair"
         assert record["sub"] == [0]
         assert record["verdict"]["witness"]["display"] == "xy"
         json.dumps(record)  # serializable
+        table = table_record(absorb.core.table_facts(MIN2))
+        assert table == {"type": "table", "table_id": table_digest(MIN2), "arity": 2,
+                         "size": 2, "table": list(MIN2.entries)}
 
     def test_absorbing_witness_verified_once(self, monkeypatch):
         import absorb.harness as harness
@@ -201,6 +251,29 @@ class TestRunCorpus:
         pair_lines = [l for l in lines if l["type"] == "pair"]
         assert len(pair_lines) == 12
         assert all(not l["counterexample"] for l in pair_lines)
+        table_lines = [l for l in lines if l["type"] == "table"]
+        assert [l["table"] for l in table_lines] == [
+            list(t.entries) for t in enumerate_tables(GenSpec(2, 2))
+        ]
+        assert all(set(l) == TABLE_KEYS for l in table_lines)
+        assert all(set(l) == PAIR_KEYS for l in pair_lines)
+        assert [l["type"] for l in lines[1:-1]] == [
+            kind
+            for t in enumerate_tables(GenSpec(2, 2))
+            for kind in ["table"] + ["pair"] * len(list(enumerate_subuniverses(t, True)))
+        ]
+
+    def test_a_table_without_pairs_has_its_table_record(self, tmp_path):
+        assert list(enumerate_subuniverses(ODD_SUM3, proper_only=True)) == []
+        out = tmp_path / "report.jsonl"
+        report = run_corpus([ODD_SUM3, MIN2, ODD_SUM3], OracleBounds(), str(out))
+        assert (report.tables, report.pairs) == (3, 2)
+        lines = read_report(out)
+        assert [l["type"] for l in lines] == [
+            "header", "table", "table", "pair", "pair", "table", "summary"
+        ]
+        assert lines[1] == table_record(absorb.core.table_facts(ODD_SUM3)) == lines[5]
+        assert lines[-1]["tables"] == 3
 
     def test_explicit_table_list_source(self, tmp_path):
         out = tmp_path / "report.jsonl"
@@ -259,8 +332,13 @@ class TestRunCorpus:
             run_corpus(binary3, OracleBounds(), str(out), resume=True)
         monkeypatch.setattr(harness, "enumerate_subuniverses", real)
         written = out.read_bytes()
-        done = {tuple(l["table"]) for l in read_report(out) if l["type"] == "pair"}
+        lines = read_report(out)
+        done = {tuple(table["table"]) for table, _pair in with_tables(lines)}
         assert done == {t.entries for t in binary3[:5] if list(real(t, True))}
+        # the sixth table's record is written before its subsets are listed
+        assert [l["table"] for l in lines if l["type"] == "table"] == [
+            list(t.entries) for t in binary3[:6]
+        ]
 
         # The first table relabeled: same table_digest, different raw entries.
         swap = (1, 0, 2)
@@ -327,7 +405,7 @@ class TestResume:
         report = assert_resumes_anywhere(tmp_path, binary3[:14])
         assert (report.status, report.tables, report.pairs) == ("failed", 12, 47)
         last = read_report(tmp_path / "clean.jsonl")[-2]
-        assert (last["sub_mask"], last["fatal"]) == (6, True)
+        assert (last["sub"], last["fatal"]) == ([1, 2], True)
 
     def test_empty_report_or_half_written_header_starts_afresh(self, tmp_path):
         clean = tmp_path / "clean.jsonl"
@@ -345,13 +423,28 @@ class TestResume:
         out = tmp_path / "report.jsonl"
         run_corpus(RESUME_STREAM, QUICK, str(out))
         lines = out.read_bytes().splitlines(keepends=True)
-        assert [json.loads(l)["sub"] for l in lines[1:3]] == [[0], [1]]  # MIN2's pairs
-        lines[1:3] = lines[2:0:-1]
+        assert json.loads(lines[2])["table"] == list(MIN2.entries)
+        assert [json.loads(l)["sub"] for l in lines[3:5]] == [[0], [1]]  # MIN2's pairs
+        lines[3:5] = lines[4:2:-1]
         swapped = b"".join(lines)
         out.write_bytes(swapped)
         with pytest.raises(ValueError, match="table stream"):
             run_corpus(RESUME_STREAM, QUICK, str(out), resume=True)
         assert out.read_bytes() == swapped
+
+    def test_table_records_of_other_tables_are_refused(self, tmp_path):
+        # LEFT_ZERO has MIN2's subsets: only MIN2's table record tells them apart
+        subsets = [s.elements for s in enumerate_subuniverses(MIN2, proper_only=True)]
+        assert [s.elements for s in enumerate_subuniverses(LEFT_ZERO, True)] == subsets
+        other = [ODD_SUM3, LEFT_ZERO] + RESUME_STREAM[2:]
+        out = tmp_path / "report.jsonl"
+        run_corpus(RESUME_STREAM, QUICK, str(out))
+        lines = out.read_bytes().splitlines(keepends=True)
+        for kept in (lines, lines[:3]):  # whole, and cut right after MIN2's table record
+            out.write_bytes(b"".join(kept))
+            with pytest.raises(ValueError, match="line 3: not this run's table stream"):
+                run_corpus(other, QUICK, str(out), resume=True)
+            assert out.read_bytes() == b"".join(kept)
 
     def test_finished_report_continues_with_a_longer_stream(self, tmp_path, binary3):
         out = tmp_path / "report.jsonl"
@@ -414,12 +507,17 @@ class TestRunStatus:
         assert (report.tables, report.pairs) == (3, 10)
         assert report.agreements["Disagree"] == 5
         assert [c["fatal"] for c in report.counterexamples] == [False] * 5
+        # the summary names each flagged pair's table, taken from its table record
+        assert all(
+            (c["table_id"], c["table"]) == (table_digest(PROJ_KILL_T), list(PROJ_KILL_T.entries))
+            for c in report.counterexamples
+        )
 
         lines = read_report(out)
         assert lines[-1]["status"] == "counterexample-candidate"
         flagged = [l for l in lines if l["type"] == "pair" and l["counterexample"]]
         assert len(flagged) == 5
-        assert all(l["case"] == "Conjectural" for l in flagged)
+        assert all(l["verdict"]["proof_status"] == "Conjectural" for l in flagged)
         assert all(not l["fatal"] and l["violations"] == [] for l in flagged)
 
         corpus = tmp_path / "corpus"
@@ -441,12 +539,16 @@ class TestRunStatus:
         report = run_corpus([Z2, MIN2, PROJ_KILL_T], OracleBounds(), str(out))
         assert report.status == "failed"
         assert (report.tables, report.pairs) == (2, 2)
-        assert [c["fatal"] for c in report.counterexamples] == [True]
+        assert report.counterexamples == [
+            {"table_id": table_digest(MIN2), "table": list(MIN2.entries), "sub": [0], "fatal": True}
+        ]
 
         lines = read_report(out)
-        assert [l["type"] for l in lines] == ["header", "pair", "pair", "summary"]
-        fatal = lines[2]
-        assert fatal["table"] == list(MIN2.entries) and fatal["sub"] == [0]
+        assert [l["type"] for l in lines] == [
+            "header", "table", "pair", "table", "pair", "summary"
+        ]
+        table, fatal = lines[3:5]
+        assert table["table"] == list(MIN2.entries) and fatal["sub"] == [0]
         assert fatal["counterexample"] and fatal["fatal"]
         assert fatal["violations"] == [
             "criterion absorbs but oracle found nothing within adequate bounds"
@@ -464,10 +566,15 @@ class TestReportPins:
             check_pair(Z2, SUB0, OracleBounds(max_len=2)),
         ]
         assert {p.oracle.stop for p in pairs} == set(OracleStop)
-        report = CorpusReport(tables=4)
-        records = [p.to_record() for p in pairs]
+        report = CorpusReport()
+        records = [
+            record
+            for p in pairs
+            for record in (table_record(absorb.core.table_facts(p.table)), p.to_record())
+        ]
         for record in records:
             report.add_record(record)
+        assert (report.tables, report.pairs) == (4, 4)
         source = {"kind": "genspec", **GenSpec(2, 2).to_dict()}
         records.append(absorb.harness._header_record(source, OracleBounds(), {"note": "r\u00e9sum\u00e9"}))
         records.append(report.summary_record())
@@ -489,13 +596,13 @@ class TestReportPins:
         stops = collections.Counter(r["oracle"]["stop"] for r in pairs)
         assert stops == {"Found": 57, "NoIdempotentTerm": 243, "ClosureExhausted": 207}
         # every conjectural pair is settled by the missing exponent
-        conjectural = [r for r in pairs if r["case"] == "Conjectural"]
+        conjectural = [r for r in pairs if r["verdict"]["proof_status"] == "Conjectural"]
         assert len(conjectural) == 48
         assert all(r["oracle"]["stop"] == "NoIdempotentTerm" for r in conjectural)
         assert all(r["agreement"] == "Agree" for r in pairs)
         for key, data in reports.items():
             header, body = data.split(b"\n", 1)
-            assert json.loads(header)["format"] == "absorb-report/2"
+            assert json.loads(header)["format"] == "absorb-report/3"
             assert json.loads(header)["defaults"] == {
                 "max_vars": 3,
                 "max_len": None,
@@ -503,6 +610,8 @@ class TestReportPins:
                 "generator": "mt19937",
             }
             assert hashlib.sha256(body).hexdigest() == REPORT_BODY_SHA256[key], key
+            # nothing the format-2 records held is lost
+            assert hashlib.sha256(format2_body(body)).hexdigest() == FORMAT2_BODY_SHA256[key], key
 
     def test_table_facts_computed_once_per_table(self, counted_binary3_run):
         report, _data, counts = counted_binary3_run
