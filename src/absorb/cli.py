@@ -12,7 +12,7 @@ import sys
 import warnings
 from dataclasses import asdict, fields
 
-from .core import compute_exponent, is_associative, power_profile, table_facts
+from .core import compute_exponent, is_associative, power_profile, table_digest, table_facts
 from .criteria import decide_theorem, derive_power_algebra
 from .errors import AbsorbError, AttemptCapExhausted
 from .fileio import load_algebra, load_subuniverse, read_corpus_dir, save_algebra, write_corpus_dir
@@ -39,7 +39,7 @@ def _cmd_check(args) -> int:
     sub = load_subuniverse(args.sub, table.size)
     facts = table_facts(table)
     doc: dict = {
-        "algebra": {"arity": table.arity, "size": table.size, "id": facts.digest},
+        "algebra": {"arity": table.arity, "size": table.size, "id": table_digest(table)},
         "sub": list(sub.elements),
         "method": args.method,
     }

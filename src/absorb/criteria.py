@@ -22,17 +22,12 @@ from .core import (
     _plan,
     _power_indices,
     _reduce_left,
-    eval_word,
-    is_closed,
+    _require_carrier,
+    _require_proper_closed,
     length_evaluable,
     table_facts,
 )
-from .errors import (
-    InvalidArityTarget,
-    LengthNotEvaluable,
-    NotClosed,
-    NotProperSubuniverse,
-)
+from .errors import InvalidArityTarget, LengthNotEvaluable
 
 
 class FailedCondition(str, Enum):
@@ -87,6 +82,7 @@ def _cond2_plan(size: int, arity: int, mask: int) -> tuple[Callable, int]:
 
 def cond2_products(table: NaryTable, sub: Subuniverse) -> bool:
     """Padded products a b^(n-1) and b^(n-1) a stay in the subset."""
+    _require_carrier(table, sub)
     gather = _plan(_cond2_plan, table.size, table.arity, sub.mask)
     return sub.members.issuperset(gather(table.entries))
 
@@ -102,6 +98,7 @@ def _cond3_plan(size: int, arity: int, mask: int) -> tuple[Callable, int]:
 
 def cond3_products(table: NaryTable, sub: Subuniverse) -> bool:
     """Every n-tuple with at least one coordinate in the subset lands in it."""
+    _require_carrier(table, sub)
     gather = _plan(_cond3_plan, table.size, table.arity, sub.mask)
     return sub.members.issuperset(gather(table.entries))
 
@@ -114,6 +111,7 @@ def detect_case(table: NaryTable | TableFacts, sub: Subuniverse) -> CaseTag:
     """
     facts = table_facts(table)
     table = facts.table
+    _require_carrier(table, sub)
     if table.arity == 2:
         return CaseTag.THEOREM_BINARY
     if facts.commutative:
@@ -125,7 +123,7 @@ def detect_case(table: NaryTable | TableFacts, sub: Subuniverse) -> CaseTag:
     return CaseTag.CONJECTURAL
 
 
-def construct_witness(table: NaryTable, sub: Subuniverse, k: int) -> Word:
+def construct_witness(table: NaryTable, k: int) -> Word:
     """The two-variable word x^(k-1) y of length k."""
     if k <= 1 or not length_evaluable(k, table.arity):
         raise ValueError(f"k must be > 1 and 1 mod {table.arity - 1}, got {k}")
@@ -142,6 +140,7 @@ def absorption_conditions_hold(
     evaluate into the subset.  Variables with zero occurrences are still
     quantified; their condition degenerates correctly.
     """
+    _require_carrier(table, sub)
     members = sub.members
     elements = sub.elements
     assignment = [0] * num_vars
@@ -162,11 +161,11 @@ def verify_witness(table: NaryTable, sub: Subuniverse, word: Word) -> bool:
         raise LengthNotEvaluable(
             f"length {word.length} is not 1 mod {table.arity - 1}"
         )
-    v = word.num_vars
+    _require_carrier(table, sub)
     for a in range(table.size):
-        if eval_word(table, word, [a] * v) != a:
+        if _reduce_left(table, [a] * word.length) != a:
             return False
-    return absorption_conditions_hold(table, sub, word.letters, v)
+    return absorption_conditions_hold(table, sub, word.letters, word.num_vars)
 
 
 def decide_theorem(table: NaryTable | TableFacts, sub: Subuniverse) -> AbsorptionVerdict:
@@ -177,10 +176,7 @@ def decide_theorem(table: NaryTable | TableFacts, sub: Subuniverse) -> Absorptio
     """
     facts = table_facts(table)
     table = facts.table
-    if not is_closed(table, sub):  # raises ValueError on a carrier mismatch
-        raise NotClosed(f"subset {sub.elements} is not closed")
-    if not sub.is_proper():
-        raise NotProperSubuniverse("criterion requires a proper subuniverse")
+    _require_proper_closed(table, sub)
     k = facts.exponent_k
     if not cond2_products(table, sub):
         failed = FailedCondition.PRODUCTS_ESCAPE_B
@@ -191,7 +187,7 @@ def decide_theorem(table: NaryTable | TableFacts, sub: Subuniverse) -> Absorptio
     return AbsorptionVerdict(
         absorbs=failed is None,
         exponent_k=k,
-        witness=construct_witness(table, sub, k) if failed is None else None,
+        witness=construct_witness(table, k) if failed is None else None,
         failed_condition=failed,
         proof_status=detect_case(facts, sub),
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 from typing import Iterable
 
 from .core import NaryTable, Subuniverse
@@ -82,7 +83,7 @@ def write_corpus_dir(dirpath: str, spec: GenSpec, tables: Iterable[NaryTable]) -
         files.append(name)
     meta = {
         "format": CORPUS_FORMAT,
-        "genspec": spec.to_dict(),
+        "genspec": asdict(spec),
         "generator": GENERATOR_NAME,
         "count": len(files),
         "files": files,

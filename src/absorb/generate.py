@@ -5,7 +5,9 @@ Exhaustive mode yields tables in ascending lexicographic order of their
 entries.  With dedup it prunes, during the search, every table that is not
 its own canonical form; by that order, these are exactly the tables that
 deduplicating the full stream would keep, in the same order.  Power and
-random streams are deduplicated by canonical bytes.
+random streams are deduplicated by canonical bytes; a deduplicated power
+stream derives from the canonical binary tables only, as the first binary
+table whose power lands in a class is its own canonical form.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import itertools
 import math
 import random
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import (  # canonical_form is looked up here by bench/run.py:install
@@ -86,9 +88,6 @@ class GenSpec:
         if self.commutative and not is_commutative(table):
             return False
         return True
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _cell_units(
@@ -327,7 +326,7 @@ def enumerate_tables(spec: GenSpec) -> Iterator[NaryTable]:
     if spec.mode == "power":
         stream = (
             derive_power_algebra(binary, spec.arity)
-            for binary in _backtrack_tables(spec.size, 2, False, False)
+            for binary in _backtrack_tables(spec.size, 2, False, False, canonical=spec.dedup)
         )
         stream = (t for t in stream if spec.passes_filters(t))
     else:

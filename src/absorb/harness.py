@@ -3,13 +3,12 @@
 check_pair runs both decision routes on one (table, sub) pair and its
 PairReport says what the pair means: whether the two routes agree, which
 proved facts it violates, and whether it is a counterexample.  run_corpus
-streams tables from a generator or an explicit table list, writes one
-JSON record per line (a table record, then one pair record per proper
-subuniverse of that table), and classifies the outcome (consistent /
-counterexample-candidate / failed).  The report is its own checkpoint: a
-table record gives the table, each pair record its subset, so an
-interrupted run resumes from the report alone and comes out
-byte-identical.
+takes any iterable of tables, writes one JSON record per line (a table
+record, then one pair record per proper subuniverse of that table), and
+classifies the outcome (consistent / counterexample-candidate / failed).
+The report is its own checkpoint: a table record gives the table, each
+pair record its subset, so an interrupted run resumes from the report
+alone and comes out byte-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import BinaryIO, Iterable, Iterator
 
-from .core import (  # table_digest is looked up here by bench/run.py:install
+from .core import (
     NaryTable,
     Subuniverse,
     TableFacts,
@@ -42,7 +41,7 @@ from .criteria import (
     verify_witness,
 )
 from .errors import NotAssociative, NotClosed, NotProperSubuniverse, PreconditionsUnmet
-from .generate import GENERATOR_NAME, GenSpec, enumerate_tables
+from .generate import GENERATOR_NAME
 from .oracle import OracleBounds, OracleOutcome, OracleStop, search_absorbing_term
 from .version import VERSION
 
@@ -139,7 +138,7 @@ class PairReport:
         if self.cond2 and k is not None and not self.cond3:
             msgs.append("cond2 with exponent but cond3 fails")
         if self.cond3 and k is not None:
-            if rejected(construct_witness(table, sub, k)):
+            if rejected(construct_witness(table, k)):
                 msgs.append("cond3 with exponent but constructed witness rejected")
         if verdict.absorbs and rejected(verdict.witness):
             msgs.append("absorbing verdict carries a rejected witness")
@@ -174,11 +173,10 @@ class PairReport:
         }
 
 
-def table_record(facts: TableFacts) -> dict:
-    table = facts.table
+def table_record(table: NaryTable) -> dict:
     return {
         "type": "table",
-        "table_id": facts.digest,
+        "table_id": table_digest(table),
         "arity": table.arity,
         "size": table.size,
         "table": list(table.entries),
@@ -327,12 +325,12 @@ def _dump(record: dict) -> bytes:
     return _ENCODER.encode(record).encode() + b"\n"
 
 
-def _header_record(source_echo: dict, bounds: OracleBounds, meta: dict | None) -> dict:
+def _header_record(bounds: OracleBounds, meta: dict | None) -> dict:
     return {
         "type": "header",
         "format": REPORT_FORMAT,
         "version": VERSION,
-        "source": source_echo,
+        "source": {"kind": "tables"},
         "bounds": asdict(bounds),
         "defaults": {
             **asdict(OracleBounds()),
@@ -418,7 +416,7 @@ def _records(tables: Iterable[NaryTable], bounds: OracleBounds) -> Iterator[dict
     """Each table's record, then its pair records, until a fatal pair."""
     for table in tables:
         facts = table_facts(table)
-        yield table_record(facts)
+        yield table_record(table)
         for sub in enumerate_subuniverses(table, proper_only=True):
             pair = check_pair(facts, sub, bounds)
             yield pair.to_record()
@@ -427,13 +425,13 @@ def _records(tables: Iterable[NaryTable], bounds: OracleBounds) -> Iterator[dict
 
 
 def run_corpus(
-    source: GenSpec | Iterable[NaryTable],
+    tables: Iterable[NaryTable],
     bounds: OracleBounds,
     out_path: str,
     resume: bool = False,
     meta: dict | None = None,
 ) -> CorpusReport:
-    """Check every (table, proper closed sub) pair of the corpus.
+    """Check every (table, proper closed sub) pair of any iterable of tables.
 
     Writes the header, then for each table its table record and one pair
     record per proper subuniverse, one per line, to out_path, and a final
@@ -445,20 +443,14 @@ def run_corpus(
     counterexample candidates and the run continues.
     """
     started = time.perf_counter()
-    if isinstance(source, GenSpec):
-        source_echo: dict = {"kind": "genspec", **source.to_dict()}
-        tables: Iterator[NaryTable] = iter(enumerate_tables(source))
-    else:
-        source_echo = {"kind": "tables"}
-        tables = iter(source)
-
-    header_bytes = _dump(_header_record(source_echo, bounds, meta))
+    stream = iter(tables)
+    header_bytes = _dump(_header_record(bounds, meta))
     report = CorpusReport()
-    pending = _resume(out_path, header_bytes, tables, report) if resume else None
+    pending = _resume(out_path, header_bytes, stream, report) if resume else None
     with open(out_path, "wb" if pending is None else "ab") as out:
         if pending is None:
             out.write(header_bytes)
-            pending = tables
+            pending = stream
         for record in _records(pending, bounds):
             out.write(_dump(record))
             report.add_record(record)

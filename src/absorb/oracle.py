@@ -18,12 +18,11 @@ from .core import (
     Subuniverse,
     Word,
     _plan,
+    _require_proper_closed,
     compute_exponent,
-    is_closed,
     length_evaluable,
 )
 from .criteria import verify_witness
-from .errors import NotClosed, NotProperSubuniverse
 
 
 @dataclass(frozen=True)
@@ -121,13 +120,6 @@ def _closure_plan(size: int, arity: int, max_vars: int, mask: int) -> tuple[tupl
             offsets = [o * size + c for o, c in zip(offsets, columns[x])]
         steps.append((letters, tuple(offsets)))
     return (columns[0], tuple(steps)), len(steps) * len(columns[0])
-
-
-def _require_proper_closed(table: NaryTable, sub: Subuniverse) -> None:
-    if not sub.is_proper():
-        raise NotProperSubuniverse("oracle requires a proper subuniverse")
-    if not is_closed(table, sub):
-        raise NotClosed(f"subset {sub.elements} is not closed")
 
 
 def scan_words(table: NaryTable, sub: Subuniverse, max_vars: int, max_len: int) -> OracleOutcome:

@@ -17,6 +17,7 @@ from absorb import (
     construct_witness,
     derive_power_algebra,
     derived_fact_probes,
+    enumerate_tables,
     is_associative,
     is_idempotent,
     run_corpus,
@@ -108,7 +109,7 @@ def test_criterion_4_proved_case_nary_validation(proved_corpora, checked_proved)
         if r.oracle.found and not r.cond2:
             found_without_cond2 += 1
         if r.cond2 and r.verdict.exponent_k is not None:
-            witness = construct_witness(r.table, r.sub, r.verdict.exponent_k)
+            witness = construct_witness(r.table, r.verdict.exponent_k)
             if not verify_witness(r.table, r.sub, witness):
                 rejected_witnesses += 1
     assert found_without_cond2 == 0
@@ -128,7 +129,7 @@ def test_criterion_5_implication_chain(all_reports):
         if r.cond2 and not r.cond3:
             violations.append((r.table.entries, r.sub.elements, "cond2 without cond3"))
         if r.cond3:
-            witness = construct_witness(r.table, r.sub, r.verdict.exponent_k)
+            witness = construct_witness(r.table, r.verdict.exponent_k)
             if not verify_witness(r.table, r.sub, witness):
                 violations.append((r.table.entries, r.sub.elements, "witness rejected"))
     assert violations == []
@@ -211,10 +212,10 @@ def test_criterion_10_determinism_and_resume(tmp_path, monkeypatch):
     spec = GenSpec(2, 2)
 
     baseline = tmp_path / "baseline.jsonl"
-    run_corpus(spec, bounds, str(baseline))
+    run_corpus(enumerate_tables(spec), bounds, str(baseline))
 
     rerun = tmp_path / "rerun.jsonl"
-    run_corpus(spec, bounds, str(rerun))
+    run_corpus(enumerate_tables(spec), bounds, str(rerun))
     assert rerun.read_bytes() == baseline.read_bytes()
 
     # kill the run mid-way, then resume from the report it left
@@ -230,10 +231,10 @@ def test_criterion_10_determinism_and_resume(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "check_pair", killer)
     with pytest.raises(KeyboardInterrupt):
-        run_corpus(spec, bounds, str(interrupted), resume=True)
+        run_corpus(enumerate_tables(spec), bounds, str(interrupted), resume=True)
     monkeypatch.setattr(harness, "check_pair", real_check)
 
-    resumed = run_corpus(spec, bounds, str(interrupted), resume=True)
+    resumed = run_corpus(enumerate_tables(spec), bounds, str(interrupted), resume=True)
     assert resumed.status == "consistent"
     assert interrupted.read_bytes() == baseline.read_bytes()
 
@@ -241,8 +242,8 @@ def test_criterion_10_determinism_and_resume(tmp_path, monkeypatch):
     seeded = GenSpec(3, 3, mode="random", count=6, seed=99, commutative=True)
     a = tmp_path / "seeded_a.jsonl"
     b = tmp_path / "seeded_b.jsonl"
-    run_corpus(seeded, bounds, str(a))
-    run_corpus(seeded, bounds, str(b))
+    run_corpus(enumerate_tables(seeded), bounds, str(a))
+    run_corpus(enumerate_tables(seeded), bounds, str(b))
     assert a.read_bytes() == b.read_bytes()
 
     _announce(10, "reports byte-identical across reruns and kill/resume")

@@ -22,7 +22,6 @@ from absorb import (
     is_commutative,
     is_idempotent,
     power_profile,
-    table_digest,
     table_facts,
 )
 from absorb.fileio import load_algebra
@@ -416,7 +415,6 @@ class TestTableFacts:
             exponent_k=3,
             commutative=True,
             idempotent=True,
-            digest=table_digest(TZ2),
         )
 
     def test_facts_pass_through_unchanged(self):

@@ -23,8 +23,11 @@ from absorb import (
     is_associative,
     is_commutative,
     is_idempotent,
+    scan_words,
+    search_absorbing_term,
     verify_witness,
 )
+from absorb.criteria import absorption_conditions_hold
 from conftest import (
     LEFT_ZERO,
     MIN2,
@@ -149,19 +152,19 @@ class TestDecideTheorem:
 
 class TestConstructWitness:
     def test_k2(self):
-        assert construct_witness(MIN2, SUB0, 2) == Word(2, (0, 1))
+        assert construct_witness(MIN2, 2) == Word(2, (0, 1))
 
     def test_k3_ternary(self):
-        assert construct_witness(TMIN2, SUB0, 3) == Word(2, (0, 0, 1))
+        assert construct_witness(TMIN2, 3) == Word(2, (0, 0, 1))
 
     def test_k5_ternary(self):
-        assert construct_witness(TMIN2, SUB0, 5) == Word(2, (0, 0, 0, 0, 1))
+        assert construct_witness(TMIN2, 5) == Word(2, (0, 0, 0, 0, 1))
 
     def test_rejects_invalid_k(self):
         with pytest.raises(ValueError):
-            construct_witness(TMIN2, SUB0, 2)
+            construct_witness(TMIN2, 2)
         with pytest.raises(ValueError):
-            construct_witness(MIN2, SUB0, 1)
+            construct_witness(MIN2, 1)
 
 
 class TestVerifyWitness:
@@ -262,3 +265,48 @@ class TestVerdictInvariants:
             else:
                 assert v.failed_condition is not None
                 assert v.witness is None
+
+
+MAX3 = NaryTable.from_function(2, 3, max)
+FOREIGN = Subuniverse(5, frozenset({2, 4}))
+LARGER_FULL = Subuniverse(4, frozenset({0, 1, 2, 3}))
+
+
+class TestPairGate:
+    """Every (table, subset) entry point checks the carrier first; the
+    criterion and the oracle share one proper-and-closed check."""
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda: cond2_products(MAX3, FOREIGN),
+            lambda: cond3_products(MAX3, FOREIGN),
+            lambda: detect_case(MAX3, FOREIGN),
+            lambda: absorption_conditions_hold(MAX3, FOREIGN, (0, 1), 2),
+            lambda: verify_witness(MAX3, FOREIGN, Word(2, (0, 1))),
+            lambda: decide_theorem(MAX3, LARGER_FULL),
+            lambda: search_absorbing_term(MAX3, LARGER_FULL),
+            lambda: scan_words(MAX3, LARGER_FULL, 2, 3),
+        ],
+        ids=[
+            "cond2_products",
+            "cond3_products",
+            "detect_case",
+            "absorption_conditions_hold",
+            "verify_witness",
+            "decide_theorem",
+            "search_absorbing_term",
+            "scan_words",
+        ],
+    )
+    def test_rejects_a_foreign_carrier(self, check):
+        with pytest.raises(ValueError, match="carrier"):
+            check()
+
+    def test_both_routes_reject_the_full_carrier_alike(self):
+        full = Subuniverse(3, frozenset({0, 1, 2}))
+        with pytest.raises(NotProperSubuniverse) as criterion:
+            decide_theorem(MAX3, full)
+        with pytest.raises(NotProperSubuniverse) as oracle:
+            search_absorbing_term(MAX3, full)
+        assert str(criterion.value) == str(oracle.value)

@@ -325,6 +325,25 @@ class TestCanonicalSearch:
             assert all(a < b for a, b in zip(entries, entries[1:])), spec
 
 
+class TestPowerDedup:
+    """Power mode with dedup derives from the canonical binary tables only;
+    it must keep what deduplicating the powers of every labeled binary
+    table keeps, in the same order."""
+
+    @staticmethod
+    def reference(spec):
+        labeled = enumerate_tables(GenSpec(spec.size, 2))
+        powers = (derive_power_algebra(binary, spec.arity) for binary in labeled)
+        return list(_dedup_canonical(t for t in powers if spec.passes_filters(t)))
+
+    def test_equals_dedup_of_labeled_powers(self):
+        specs = [GenSpec(m, n, mode="power") for m, n in ((2, 3), (3, 3), (3, 5), (4, 3), (4, 5))]
+        specs += [GenSpec(3, 3, mode="power", idempotent=True), GenSpec(3, 3, mode="power", commutative=True)]
+        for spec in specs:
+            deduped = list(enumerate_tables(dataclasses.replace(spec, dedup=True)))
+            assert deduped == self.reference(spec), spec
+
+
 class TestEnumeratePairs:
     def test_min_has_both_singletons(self):
         pairs = list(enumerate_pairs([MIN2]))

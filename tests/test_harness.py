@@ -123,7 +123,7 @@ def counted_binary3_run(tmp_path_factory):
                 patched.append((module, name, original))
     path = tmp_path_factory.mktemp("binary3") / "report.jsonl"
     try:
-        report = run_corpus(GenSpec(3, 2), OracleBounds(), str(path))
+        report = run_corpus(enumerate_tables(GenSpec(3, 2)), OracleBounds(), str(path))
     finally:
         for module, name, original in patched:
             setattr(module, name, original)
@@ -163,7 +163,7 @@ class TestCheckPair:
         assert record["sub"] == [0]
         assert record["verdict"]["witness"]["display"] == "xy"
         json.dumps(record)  # serializable
-        table = table_record(absorb.core.table_facts(MIN2))
+        table = table_record(MIN2)
         assert table == {"type": "table", "table_id": table_digest(MIN2), "arity": 2,
                          "size": 2, "table": list(MIN2.entries)}
 
@@ -234,7 +234,7 @@ class TestDerivedFactProbes:
 class TestRunCorpus:
     def test_small_exhaustive_run(self, tmp_path):
         out = tmp_path / "report.jsonl"
-        report = run_corpus(GenSpec(2, 2), OracleBounds(), str(out))
+        report = run_corpus(enumerate_tables(GenSpec(2, 2)), OracleBounds(), str(out))
         assert report.status == "consistent"
         assert report.tables == 8
         assert report.pairs == 12
@@ -272,7 +272,7 @@ class TestRunCorpus:
         assert [l["type"] for l in lines] == [
             "header", "table", "table", "pair", "pair", "table", "summary"
         ]
-        assert lines[1] == table_record(absorb.core.table_facts(ODD_SUM3)) == lines[5]
+        assert lines[1] == table_record(ODD_SUM3) == lines[5]
         assert lines[-1]["tables"] == 3
 
     def test_explicit_table_list_source(self, tmp_path):
@@ -286,8 +286,8 @@ class TestRunCorpus:
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
-        run_corpus(GenSpec(2, 2), OracleBounds(), str(a))
-        run_corpus(GenSpec(2, 2), OracleBounds(), str(b))
+        run_corpus(enumerate_tables(GenSpec(2, 2)), OracleBounds(), str(a))
+        run_corpus(enumerate_tables(GenSpec(2, 2)), OracleBounds(), str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_resume_rejects_mismatched_parameters(self, tmp_path, monkeypatch):
@@ -306,11 +306,11 @@ class TestRunCorpus:
 
         monkeypatch.setattr(harness, "check_pair", killer)
         with pytest.raises(KeyboardInterrupt):
-            run_corpus(GenSpec(2, 2), OracleBounds(), str(out), resume=True)
+            run_corpus(enumerate_tables(GenSpec(2, 2)), OracleBounds(), str(out), resume=True)
         monkeypatch.setattr(harness, "check_pair", real)
         written = out.read_bytes()
         with pytest.raises(ValueError, match="parameters"):
-            run_corpus(GenSpec(2, 2), OracleBounds(max_vars=2), str(out), resume=True)
+            run_corpus(enumerate_tables(GenSpec(2, 2)), OracleBounds(max_vars=2), str(out), resume=True)
         assert out.read_bytes() == written
 
     def test_resume_rejects_a_different_table_stream(self, tmp_path, monkeypatch, binary2, binary3):
@@ -570,13 +570,12 @@ class TestReportPins:
         records = [
             record
             for p in pairs
-            for record in (table_record(absorb.core.table_facts(p.table)), p.to_record())
+            for record in (table_record(p.table), p.to_record())
         ]
         for record in records:
             report.add_record(record)
         assert (report.tables, report.pairs) == (4, 4)
-        source = {"kind": "genspec", **GenSpec(2, 2).to_dict()}
-        records.append(absorb.harness._header_record(source, OracleBounds(), {"note": "r\u00e9sum\u00e9"}))
+        records.append(absorb.harness._header_record(OracleBounds(), {"note": "r\u00e9sum\u00e9"}))
         records.append(report.summary_record())
         for record in records:
             expected = json.dumps(record, sort_keys=True, separators=(",", ":")).encode() + b"\n"
@@ -587,7 +586,7 @@ class TestReportPins:
         for i, spec in enumerate(REPORT_BODY_SHA256):
             if spec not in reports:
                 path = tmp_path / f"report_{i}.jsonl"
-                run_corpus(spec, OracleBounds(), str(path))
+                run_corpus(enumerate_tables(spec), OracleBounds(), str(path))
                 reports[spec] = path.read_bytes()
         power = [json.loads(line) for line in reports[GenSpec(3, 3, mode="power")].splitlines()]
         pairs = [r for r in power if r["type"] == "pair"]
