@@ -13,7 +13,7 @@ from .core import (
     Word,
     canonical_form,
     compute_exponent,
-    element_power,
+    derive_power_algebra,
     enumerate_subuniverses,
     eval_word,
     is_associative,
@@ -32,7 +32,6 @@ from .criteria import (
     cond3_products,
     construct_witness,
     decide_theorem,
-    derive_power_algebra,
     detect_case,
     verify_witness,
 )
@@ -40,7 +39,6 @@ from .errors import (
     AbsorbError,
     AttemptCapExhausted,
     BudgetExceeded,
-    InvalidArityTarget,
     LengthNotEvaluable,
     NotAssociative,
     NotClosed,
@@ -83,7 +81,6 @@ __all__ = [
     "CorpusReport",
     "FailedCondition",
     "GenSpec",
-    "InvalidArityTarget",
     "LengthNotEvaluable",
     "NaryTable",
     "NotAssociative",
@@ -108,7 +105,6 @@ __all__ = [
     "derive_power_algebra",
     "derived_fact_probes",
     "detect_case",
-    "element_power",
     "enumerate_pairs",
     "enumerate_subuniverses",
     "enumerate_tables",

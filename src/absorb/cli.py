@@ -12,8 +12,15 @@ import sys
 import warnings
 from dataclasses import asdict, fields
 
-from .core import compute_exponent, is_associative, power_profile, table_digest, table_facts
-from .criteria import decide_theorem, derive_power_algebra
+from .core import (
+    compute_exponent,
+    derive_power_algebra,
+    is_associative,
+    power_profile,
+    table_digest,
+    table_facts,
+)
+from .criteria import decide_theorem
 from .errors import AbsorbError, AttemptCapExhausted
 from .fileio import load_algebra, load_subuniverse, read_corpus_dir, save_algebra, write_corpus_dir
 from .generate import MODES, GenSpec, enumerate_tables

@@ -1,8 +1,8 @@
 """Finite n-ary operation tables and the machinery around them.
 
 Tables are flat, row-major lookup arrays over the carrier {0..size-1}; words
-are sequences of variable indices; powers and exponents follow the valid
-lengths 1 mod (arity - 1).
+are sequences of variable indices; powers, exponents and power algebras
+follow the valid lengths 1 mod (arity - 1).
 """
 
 from __future__ import annotations
@@ -87,6 +87,8 @@ class NaryTable:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
         idx = 0
         for a in args:
+            if not 0 <= a < self.size:
+                raise ValueError(f"argument {a!r} is not an element index below {self.size}")
             idx = idx * self.size + a
         return self.entries[idx]
 
@@ -171,6 +173,12 @@ def length_evaluable(length: int, arity: int) -> bool:
     return length >= 1 and (length - 1) % (arity - 1) == 0
 
 
+def _require_evaluable(length: int, arity: int) -> None:
+    """The one check that a word length or target arity is 1 mod (arity - 1)."""
+    if not length_evaluable(length, arity):
+        raise LengthNotEvaluable(f"length {length} is not 1 mod {arity - 1}")
+
+
 def _reduce_left(table: NaryTable, values: Sequence[int]) -> int:
     """Left-greedy product of an evaluable sequence of elements."""
     m = table.size
@@ -199,10 +207,7 @@ def eval_word(table: NaryTable, word: Word, assignment: Sequence[int]) -> int:
     Associativity makes every reduction order agree; left-greedy is the
     normative one.
     """
-    if not length_evaluable(word.length, table.arity):
-        raise LengthNotEvaluable(
-            f"length {word.length} is not 1 mod {table.arity - 1}"
-        )
+    _require_evaluable(word.length, table.arity)
     if len(assignment) != word.num_vars:
         raise ValueError(f"assignment must cover {word.num_vars} variables")
     if any(not 0 <= a < table.size for a in assignment):
@@ -210,37 +215,24 @@ def eval_word(table: NaryTable, word: Word, assignment: Sequence[int]) -> int:
     return _reduce_left(table, [assignment[l] for l in word.letters])
 
 
-def element_power(table: NaryTable, a: int, e: int) -> int:
-    """a^e for a valid exponent e (e >= 1 and e = 1 mod (n-1))."""
-    if not 0 <= a < table.size:
-        raise ValueError(f"element {a} out of range")
-    if e < 1 or not length_evaluable(e, table.arity):
-        raise LengthNotEvaluable(f"exponent {e} is not 1 mod {table.arity - 1}")
-    x = a
-    for _ in range((e - 1) // (table.arity - 1)):
-        x = _step_power(table, x, a)
-    return x
-
-
 def power_profile(table: NaryTable, a: int) -> PowerProfile:
-    """Walk a, a^(1+(n-1)), a^(1+2(n-1)), ... until the first repeat."""
+    """Walk a, a^(1+(n-1)), a^(1+2(n-1)), ... until the first repeat.
+
+    One step is f(x, a, ..., a), whose flat index is x * m**(n-1) plus the
+    index a * (1 + m + ... + m**(n-2)) of the suffix (a, ..., a).
+    """
+    m, n, entries = table.size, table.arity, table.entries
+    stride = m ** (n - 1)
+    suffix = a * _diagonal(m, n - 1) if m > 1 else 0
     seen: dict[int, int] = {}
     x = a
     j = 0
     while x not in seen:
         seen[x] = j
-        x = _step_power(table, x, a)
+        x = entries[x * stride + suffix]
         j += 1
     tail = seen[x]
     return PowerProfile(element=a, tail=tail, period=j - tail)
-
-
-def _step_power(table: NaryTable, x: int, a: int) -> int:
-    """f(x, a, ..., a): one (n-1)-step along a's power sequence."""
-    idx = x
-    for _ in range(table.arity - 1):
-        idx = idx * table.size + a
-    return table.entries[idx]
 
 
 def compute_exponent(table: NaryTable) -> int | None:
@@ -257,6 +249,26 @@ def compute_exponent(table: NaryTable) -> int | None:
             return None
         periods.append(profile.period)
     return 1 + math.lcm(*periods) * (table.arity - 1)
+
+
+def derive_power_algebra(table: NaryTable, k: int) -> NaryTable:
+    """The k-ary table of k-fold products; associative by construction.
+
+    Idempotent whenever k is an exponent of the table (a^k = a for all a).
+    The product of (x_1..x_p, y_1..y_(n-1)) is f(v, y_1..y_(n-1)) with v the
+    product of x_1..x_p, so each further n-1 arguments replace every value
+    v, in order, by the row of entries at v * m**(n-1).
+    """
+    if k <= 1:
+        raise ValueError(f"target arity must be > 1, got {k}")
+    n, entries = table.arity, table.entries
+    _require_evaluable(k, n)
+    stride = table.size ** (n - 1)
+    rows = [entries[v * stride : (v + 1) * stride] for v in range(table.size)]
+    power = entries
+    for _ in range((k - n) // (n - 1)):
+        power = tuple(itertools.chain.from_iterable(map(rows.__getitem__, power)))
+    return NaryTable(arity=k, size=table.size, entries=power)
 
 
 def is_associative(table: NaryTable) -> bool:

@@ -23,11 +23,10 @@ from .core import (
     _power_indices,
     _reduce_left,
     _require_carrier,
+    _require_evaluable,
     _require_proper_closed,
-    length_evaluable,
     table_facts,
 )
-from .errors import InvalidArityTarget, LengthNotEvaluable
 
 
 class FailedCondition(str, Enum):
@@ -125,8 +124,9 @@ def detect_case(table: NaryTable | TableFacts, sub: Subuniverse) -> CaseTag:
 
 def construct_witness(table: NaryTable, k: int) -> Word:
     """The two-variable word x^(k-1) y of length k."""
-    if k <= 1 or not length_evaluable(k, table.arity):
-        raise ValueError(f"k must be > 1 and 1 mod {table.arity - 1}, got {k}")
+    if k <= 1:
+        raise ValueError(f"k must be > 1, got {k}")
+    _require_evaluable(k, table.arity)
     return Word(num_vars=2, letters=(0,) * (k - 1) + (1,))
 
 
@@ -157,10 +157,7 @@ def absorption_conditions_hold(
 
 def verify_witness(table: NaryTable, sub: Subuniverse, word: Word) -> bool:
     """Check idempotence plus the coordinate-wise absorption conditions."""
-    if not length_evaluable(word.length, table.arity):
-        raise LengthNotEvaluable(
-            f"length {word.length} is not 1 mod {table.arity - 1}"
-        )
+    _require_evaluable(word.length, table.arity)
     _require_carrier(table, sub)
     for a in range(table.size):
         if _reduce_left(table, [a] * word.length) != a:
@@ -191,19 +188,3 @@ def decide_theorem(table: NaryTable | TableFacts, sub: Subuniverse) -> Absorptio
         failed_condition=failed,
         proof_status=detect_case(facts, sub),
     )
-
-
-def derive_power_algebra(table: NaryTable, k: int) -> NaryTable:
-    """The k-ary table of k-fold products; associative by construction.
-
-    Idempotent whenever k is an exponent of the table (a^k = a for all a).
-    """
-    if k <= 1 or not length_evaluable(k, table.arity):
-        raise InvalidArityTarget(
-            f"target arity {k} is not 1 mod {table.arity - 1} or not > 1"
-        )
-    entries = tuple(
-        _reduce_left(table, tup)
-        for tup in itertools.product(range(table.size), repeat=k)
-    )
-    return NaryTable(arity=k, size=table.size, entries=entries)

@@ -21,10 +21,6 @@ class NotProperSubuniverse(AbsorbError):
     """Subuniverse equals the full carrier where a proper one is required."""
 
 
-class InvalidArityTarget(AbsorbError):
-    """Target arity for a power algebra is not 1 mod (arity - 1)."""
-
-
 class BudgetExceeded(AbsorbError):
     """Requested enumeration or scan exceeds the configured budget."""
 

@@ -25,12 +25,12 @@ from .core import (  # canonical_form is looked up here by bench/run.py:install
     _canonical_bytes,
     _relabeling_sources,
     canonical_form,
+    derive_power_algebra,
     enumerate_subuniverses,
     is_associative,
     is_commutative,
     is_idempotent,
 )
-from .criteria import derive_power_algebra
 from .errors import AttemptCapExhausted, BudgetExceeded
 
 # Backtracking budget: number of free cells (or cell orbits, once filters
@@ -75,6 +75,10 @@ class GenSpec:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("size", "arity", "count", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool is rejected too
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.size < 1 or self.arity < 2:
             raise ValueError("size must be >= 1 and arity >= 2")
         if self.mode == "power" and self.arity < 3:

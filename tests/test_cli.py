@@ -324,6 +324,16 @@ class TestPowerAlgebra:
         )
         assert code == 1
 
+    def test_target_arity_not_1_mod_n_minus_1(self, capsys, tmp_path):
+        # --k 4 passes the k > 1 check and stops at the length rule
+        ternary = tmp_path / "tz2.json"
+        save_algebra(str(ternary), TZ2)
+        out = tmp_path / "x.json"
+        code = main(["power-algebra", "--algebra", str(ternary), "--k", "4", "--out", str(out)])
+        assert code == 1
+        assert "length 4 is not 1 mod 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonassociative_input_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         save_algebra(str(bad), NaryTable(2, 2, (0, 1, 0, 0)))

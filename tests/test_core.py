@@ -13,7 +13,6 @@ from absorb import (
     Word,
     compute_exponent,
     derive_power_algebra,
-    element_power,
     enumerate_subuniverses,
     enumerate_tables,
     eval_word,
@@ -126,6 +125,14 @@ class TestNaryTable:
     def test_row_major_layout(self):
         t = NaryTable(2, 3, tuple((a * 3 + b) % 3 for a in range(3) for b in range(3)))
         assert t.apply(2, 1) == (2 * 3 + 1) % 3
+
+    def test_apply_rejects_arguments_off_the_carrier(self):
+        # apply is the reference evaluator of the predicate tests: an
+        # argument off the carrier must not read some other cell.
+        t = NaryTable.from_function(2, 3, min)
+        for args in ((0, 4), (-1, 0), (3, 0)):
+            with pytest.raises(ValueError, match="not an element index below 3"):
+                t.apply(*args)
 
 
 class TestSubuniverse:
@@ -255,6 +262,12 @@ class TestEvalWord:
         assert eval_word(table, word, assignment) == expected
 
 
+def element_power(table, a, e):
+    """a^e as the one-variable word x^e, evaluated by eval_word: a reference
+    independent of the power walk behind compute_exponent."""
+    return eval_word(table, Word(1, (0,) * e), [a])
+
+
 class TestElementPower:
     def test_z2_cube(self):
         assert element_power(Z2, 1, 3) == 1
@@ -270,9 +283,9 @@ class TestElementPower:
         assert element_power(Z3, 1, 4) == 1
 
     def test_rejects_invalid_exponent(self):
-        with pytest.raises(LengthNotEvaluable):
+        with pytest.raises(LengthNotEvaluable, match="length 2 is not 1 mod 2"):
             element_power(TZ2, 1, 2)
-        with pytest.raises(LengthNotEvaluable):
+        with pytest.raises(ValueError):
             element_power(MIN2, 1, 0)
 
 

@@ -5,7 +5,7 @@ import pytest
 from absorb import (
     CaseTag,
     FailedCondition,
-    InvalidArityTarget,
+    LengthNotEvaluable,
     NaryTable,
     NotAssociative,
     NotClosed,
@@ -20,6 +20,7 @@ from absorb import (
     derive_power_algebra,
     detect_case,
     enumerate_pairs,
+    eval_word,
     is_associative,
     is_commutative,
     is_idempotent,
@@ -27,6 +28,7 @@ from absorb import (
     search_absorbing_term,
     verify_witness,
 )
+from absorb.core import _reduce_left
 from absorb.criteria import absorption_conditions_hold
 from conftest import (
     LEFT_ZERO,
@@ -161,10 +163,24 @@ class TestConstructWitness:
         assert construct_witness(TMIN2, 5) == Word(2, (0, 0, 0, 0, 1))
 
     def test_rejects_invalid_k(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(LengthNotEvaluable):
             construct_witness(TMIN2, 2)
         with pytest.raises(ValueError):
             construct_witness(MIN2, 1)
+
+
+def test_one_length_rule():
+    # every operation that needs a length 1 mod (n-1) raises the same error
+    message = "length 4 is not 1 mod 2"
+    x4 = Word(1, (0,) * 4)
+    for call in (
+        lambda: eval_word(TZ2, x4, [0]),
+        lambda: verify_witness(TZ2, SUB0, x4),
+        lambda: construct_witness(TZ2, 4),
+        lambda: derive_power_algebra(TZ2, 4),
+    ):
+        with pytest.raises(LengthNotEvaluable, match=message):
+            call()
 
 
 class TestVerifyWitness:
@@ -240,10 +256,28 @@ class TestDerivePowerAlgebra:
             assert d.apply(*tup) == min(tup)
 
     def test_rejects_bad_target_arity(self):
-        with pytest.raises(InvalidArityTarget):
+        with pytest.raises(LengthNotEvaluable):
             derive_power_algebra(TZ2, 4)
-        with pytest.raises(InvalidArityTarget):
+        with pytest.raises(ValueError):
             derive_power_algebra(MIN2, 1)
+
+    def test_matches_per_tuple_reference(self, binary3, binary4):
+        # The reference reduces every k-tuple left-greedily.  The size-2
+        # shapes take every table, associative or not, so that a right fold
+        # fails too; an off-by-one step count fails on the arity alone.
+        def reference(table, k):
+            tuples = itertools.product(range(table.size), repeat=k)
+            return tuple(_reduce_left(table, tup) for tup in tuples)
+
+        every_binary2 = [NaryTable(2, 2, e) for e in itertools.product(range(2), repeat=4)]
+        every_ternary2 = [NaryTable(3, 2, e) for e in itertools.product(range(2), repeat=8)]
+        cases = [(t, k) for t in every_binary2 + binary3 + binary4 for k in (3, 5)]
+        cases += [(t, k) for t in every_ternary2 for k in (5, 7)]
+        cases.append((Z2, 7))
+        for table, k in cases:
+            derived = derive_power_algebra(table, k)
+            assert (derived.arity, derived.size) == (k, table.size)
+            assert derived.entries == reference(table, k), (table, k)
 
     def test_output_associative_and_idempotent_at_exponent(self):
         for table in (MIN2, Z2, TMIN2):

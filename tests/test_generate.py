@@ -6,6 +6,7 @@ import time
 import pytest
 
 import absorb.core
+import absorb.criteria
 import absorb.generate
 from absorb import (
     AttemptCapExhausted,
@@ -44,6 +45,26 @@ def naive_canonical_form(table):
         if best is None or candidate < best:
             best = candidate
     return NaryTable(n, m, best)
+
+
+class TestGenSpec:
+    def test_int_fields_reject_other_types(self):
+        # a float count would round up a random stream, a float size would
+        # fail deep in backtracking, and a float seed would reach corpus.json
+        for field in ("size", "arity", "count", "seed"):
+            for value in (2.5, 2.0, True, "2"):
+                with pytest.raises(ValueError, match=f"{field} must be an int"):
+                    GenSpec(**{"size": 2, "arity": 2, "mode": "random", "count": 2, field: value})
+
+    def test_power_mode_imports_nothing_from_criteria(self):
+        # power algebras are core index arithmetic, not a criterion
+        from_criteria = [
+            name
+            for name, obj in vars(absorb.generate).items()
+            if getattr(obj, "__module__", None) == "absorb.criteria"
+        ]
+        assert from_criteria == []
+        assert not hasattr(absorb.criteria, "derive_power_algebra")
 
 
 class TestExhaustive:

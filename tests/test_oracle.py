@@ -20,7 +20,6 @@ from absorb import (
     compute_exponent,
     decide_theorem,
     derive_power_algebra,
-    element_power,
     enumerate_pairs,
     enumerate_tables,
     oracle_agrees,
@@ -30,7 +29,7 @@ from absorb import (
 )
 from absorb.core import length_evaluable
 from conftest import LEFT_ZERO, MIN2, SUB0, Z2
-from test_core import ASSOC_SMALL
+from test_core import ASSOC_SMALL, element_power
 from test_criteria import PROJ_KILL_SUB, PROJ_KILL_T
 
 SMALL_PAIRS = list(enumerate_pairs(ASSOC_SMALL))
@@ -149,7 +148,7 @@ class TestSearch:
     ):
         # A table without an exponent stops the search before any length:
         # a word of length q is idempotent iff a^q = a for every a, and
-        # element_power, the reference, shows some a^q != a for every q.
+        # eval_word on x^q, the reference, shows some a^q != a for every q.
         tables = [t for t in binary2 + binary3 + binary4 + ternary2 if compute_exponent(t) is None]
         assert len(tables) == 2_615
         for table in tables:
