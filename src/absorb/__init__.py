@@ -47,7 +47,6 @@ from .errors import (
 )
 from .generate import (
     GenSpec,
-    enumerate_pairs,
     enumerate_tables,
     random_filtered,
 )
@@ -64,7 +63,6 @@ from .oracle import (
     OracleBounds,
     OracleOutcome,
     OracleStop,
-    scan_words,
     search_absorbing_term,
 )
 from .version import VERSION
@@ -105,7 +103,6 @@ __all__ = [
     "derive_power_algebra",
     "derived_fact_probes",
     "detect_case",
-    "enumerate_pairs",
     "enumerate_subuniverses",
     "enumerate_tables",
     "eval_word",
@@ -117,7 +114,6 @@ __all__ = [
     "power_profile",
     "random_filtered",
     "run_corpus",
-    "scan_words",
     "search_absorbing_term",
     "table_digest",
     "table_facts",

@@ -222,6 +222,8 @@ def power_profile(table: NaryTable, a: int) -> PowerProfile:
     index a * (1 + m + ... + m**(n-2)) of the suffix (a, ..., a).
     """
     m, n, entries = table.size, table.arity, table.entries
+    if not 0 <= a < m:
+        raise ValueError(f"element {a!r} is not an element index below {m}")
     stride = m ** (n - 1)
     suffix = a * _diagonal(m, n - 1) if m > 1 else 0
     seen: dict[int, int] = {}
@@ -481,19 +483,25 @@ def _require_carrier(table: NaryTable, sub: Subuniverse) -> None:
 
 
 def _require_proper_closed(table: NaryTable, sub: Subuniverse) -> None:
-    """Raise unless the subset is in the carrier, proper and closed, in that order."""
+    """Raise unless the subset is in the carrier, proper and closed, in that
+    order: the one gate of a public route that takes a (table, subset) pair."""
     _require_carrier(table, sub)
     if not sub.is_proper():
         raise NotProperSubuniverse("absorption requires a proper subuniverse")
-    if not is_closed(table, sub):
+    if not _closed(table, sub):
         raise NotClosed(f"subset {sub.elements} is not closed")
+
+
+def _closed(table: NaryTable, sub: Subuniverse) -> bool:
+    """is_closed on a subset already known to lie in the carrier."""
+    _, gather = _plan(_subset_plan, table.size, table.arity, sub.mask)
+    return sub.members.issuperset(gather(table.entries))
 
 
 def is_closed(table: NaryTable, sub: Subuniverse) -> bool:
     """Every n-tuple from the subset lands back in the subset."""
     _require_carrier(table, sub)
-    _, gather = _plan(_subset_plan, table.size, table.arity, sub.mask)
-    return sub.members.issuperset(gather(table.entries))
+    return _closed(table, sub)
 
 
 def enumerate_subuniverses(table: NaryTable, proper_only: bool) -> list[Subuniverse]:

@@ -64,53 +64,55 @@ class AbsorptionVerdict:
     proof_status: CaseTag
 
 
-def _cond2_plan(size: int, arity: int, mask: int) -> tuple[Callable, int]:
-    """The gather of a b^(n-1) and b^(n-1) a over every a and every b in
-    the subset with this mask.
+def _products_plan(size: int, arity: int, mask: int) -> tuple[tuple[Callable, Callable], int]:
+    """The gathers cond2 and cond3 read over the subset B with this mask, and
+    their offset count.
 
-    With r = 1 + m + ... + m^(n-2), their flat indices are a m^(n-1) + b r
-    and b m r + a.
+    One index list holds every entry outside (A minus B)^n, the padded
+    products a b^(n-1) and b^(n-1) a first: each has a coordinate in B, so
+    cond2 gathers a prefix of the list that cond3 gathers whole.  With
+    r = 1 + m + ... + m^(n-2), their flat indices are a m^(n-1) + b r and
+    b m r + a.
     """
     elements = Subuniverse.from_mask(size, mask).elements
     r = sum(size**j for j in range(arity - 1))
     top = size ** (arity - 1)
-    indices = [a * top + b * r for b in elements for a in range(size)]
-    indices += [b * size * r + a for b in elements for a in range(size)]
-    return _gather(indices), len(indices)
+    padded = [a * top + b * r for b in elements for a in range(size)]
+    padded += [b * size * r + a for b in elements for a in range(size)]
+    padded = list(dict.fromkeys(padded))  # once each tuple both halves hold
+    outside = [a for a in range(size) if not mask >> a & 1]
+    skipped = set(_power_indices(size, arity, outside)).union(padded)
+    indices = padded + [i for i in range(size**arity) if i not in skipped]
+    return (_gather(padded), _gather(indices)), len(indices)
+
+
+def _cond2(table: NaryTable, sub: Subuniverse) -> bool:
+    """cond2_products on a subset already known to lie in the carrier."""
+    padded, _ = _plan(_products_plan, table.size, table.arity, sub.mask)
+    return sub.members.issuperset(padded(table.entries))
+
+
+def _cond3(table: NaryTable, sub: Subuniverse) -> bool:
+    """cond3_products on a subset already known to lie in the carrier."""
+    _, meeting = _plan(_products_plan, table.size, table.arity, sub.mask)
+    return sub.members.issuperset(meeting(table.entries))
 
 
 def cond2_products(table: NaryTable, sub: Subuniverse) -> bool:
     """Padded products a b^(n-1) and b^(n-1) a stay in the subset."""
     _require_carrier(table, sub)
-    gather = _plan(_cond2_plan, table.size, table.arity, sub.mask)
-    return sub.members.issuperset(gather(table.entries))
-
-
-def _cond3_plan(size: int, arity: int, mask: int) -> tuple[Callable, int]:
-    """The gather of every entry except those of (A minus B)^n, for the
-    subset B with this mask."""
-    outside = [a for a in range(size) if not mask >> a & 1]
-    skipped = set(_power_indices(size, arity, outside))
-    indices = [i for i in range(size**arity) if i not in skipped]
-    return _gather(indices), len(indices)
+    return _cond2(table, sub)
 
 
 def cond3_products(table: NaryTable, sub: Subuniverse) -> bool:
     """Every n-tuple with at least one coordinate in the subset lands in it."""
     _require_carrier(table, sub)
-    gather = _plan(_cond3_plan, table.size, table.arity, sub.mask)
-    return sub.members.issuperset(gather(table.entries))
+    return _cond3(table, sub)
 
 
-def detect_case(table: NaryTable | TableFacts, sub: Subuniverse) -> CaseTag:
-    """First applicable proved case, in the fixed priority order.
-
-    Any applicable tag certifies the verdict, so the order only affects
-    reporting.
-    """
-    facts = table_facts(table)
+def _case(facts: TableFacts, sub: Subuniverse) -> CaseTag:
+    """detect_case on a subset already known to lie in the carrier."""
     table = facts.table
-    _require_carrier(table, sub)
     if table.arity == 2:
         return CaseTag.THEOREM_BINARY
     if facts.commutative:
@@ -120,6 +122,17 @@ def detect_case(table: NaryTable | TableFacts, sub: Subuniverse) -> CaseTag:
     if table.arity == 3 and facts.idempotent:
         return CaseTag.THEOREM_IDEMPOTENT_TERNARY
     return CaseTag.CONJECTURAL
+
+
+def detect_case(table: NaryTable | TableFacts, sub: Subuniverse) -> CaseTag:
+    """First applicable proved case, in the fixed priority order.
+
+    Any applicable tag certifies the verdict, so the order only affects
+    reporting.
+    """
+    facts = table_facts(table)
+    _require_carrier(facts.table, sub)
+    return _case(facts, sub)
 
 
 def construct_witness(table: NaryTable, k: int) -> Word:
@@ -141,6 +154,13 @@ def absorption_conditions_hold(
     quantified; their condition degenerates correctly.
     """
     _require_carrier(table, sub)
+    return _conditions_hold(table, sub, letters, num_vars)
+
+
+def _conditions_hold(
+    table: NaryTable, sub: Subuniverse, letters: tuple[int, ...], num_vars: int
+) -> bool:
+    """absorption_conditions_hold on a subset already known to lie in the carrier."""
     members = sub.members
     elements = sub.elements
     assignment = [0] * num_vars
@@ -162,7 +182,7 @@ def verify_witness(table: NaryTable, sub: Subuniverse, word: Word) -> bool:
     for a in range(table.size):
         if _reduce_left(table, [a] * word.length) != a:
             return False
-    return absorption_conditions_hold(table, sub, word.letters, word.num_vars)
+    return _conditions_hold(table, sub, word.letters, word.num_vars)
 
 
 def decide_theorem(table: NaryTable | TableFacts, sub: Subuniverse) -> AbsorptionVerdict:
@@ -175,7 +195,7 @@ def decide_theorem(table: NaryTable | TableFacts, sub: Subuniverse) -> Absorptio
     table = facts.table
     _require_proper_closed(table, sub)
     k = facts.exponent_k
-    if not cond2_products(table, sub):
+    if not _cond2(table, sub):
         failed = FailedCondition.PRODUCTS_ESCAPE_B
     elif k is None:
         failed = FailedCondition.NO_EXPONENT
@@ -186,5 +206,5 @@ def decide_theorem(table: NaryTable | TableFacts, sub: Subuniverse) -> Absorptio
         exponent_k=k,
         witness=construct_witness(table, k) if failed is None else None,
         failed_condition=failed,
-        proof_status=detect_case(facts, sub),
+        proof_status=_case(facts, sub),
     )

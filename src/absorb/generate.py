@@ -21,12 +21,10 @@ from typing import Iterable, Iterator
 
 from .core import (  # canonical_form is looked up here by bench/run.py:install
     NaryTable,
-    Subuniverse,
     _canonical_bytes,
     _relabeling_sources,
     canonical_form,
     derive_power_algebra,
-    enumerate_subuniverses,
     is_associative,
     is_commutative,
     is_idempotent,
@@ -355,11 +353,3 @@ def _dedup_canonical(stream: Iterable[NaryTable]) -> Iterator[NaryTable]:
             seen.add(key)
             yield table
 
-
-def enumerate_pairs(
-    tables: Iterable[NaryTable], proper_only: bool = True
-) -> Iterator[tuple[NaryTable, Subuniverse]]:
-    """Cross each table with its closed nonempty (proper) subuniverses."""
-    for table in tables:
-        for sub in enumerate_subuniverses(table, proper_only):
-            yield table, sub

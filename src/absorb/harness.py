@@ -35,7 +35,7 @@ from .criteria import (
     AbsorptionVerdict,
     CaseTag,
     FailedCondition,
-    cond3_products,
+    _cond3,
     construct_witness,
     decide_theorem,
     verify_witness,
@@ -265,7 +265,8 @@ class CorpusReport:
 def check_pair(
     table: NaryTable | TableFacts, sub: Subuniverse, bounds: OracleBounds = OracleBounds()
 ) -> PairReport:
-    """Run both routes on one valid (associative, closed, proper) pair."""
+    """Run both routes on one valid (associative, closed, proper) pair, from
+    one computation of the table facts; cond3 is read unchecked after them."""
     facts = table_facts(table)
     table = facts.table
     verdict = decide_theorem(facts, sub)
@@ -273,7 +274,7 @@ def check_pair(
     return PairReport(
         table=table,
         sub=sub,
-        cond3=cond3_products(table, sub),
+        cond3=_cond3(table, sub),
         verdict=verdict,
         oracle=outcome,
         agreement=oracle_agrees(verdict, outcome, bounds),

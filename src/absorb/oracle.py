@@ -3,8 +3,7 @@
 The ground-truth side of every equivalence check: close the term
 operations in at most max_vars variables under one more application of the
 operation, breadth-first, and return the first one the definition accepts,
-with no reference to the product criteria.  scan_words is the raw
-word-by-word reference the closure is tested against.
+with no reference to the product criteria.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .core import (
     _plan,
     _require_proper_closed,
     compute_exponent,
-    length_evaluable,
 )
 from .criteria import verify_witness
 
@@ -120,26 +118,6 @@ def _closure_plan(size: int, arity: int, max_vars: int, mask: int) -> tuple[tupl
             offsets = [o * size + c for o, c in zip(offsets, columns[x])]
         steps.append((letters, tuple(offsets)))
     return (columns[0], tuple(steps)), len(steps) * len(columns[0])
-
-
-def scan_words(table: NaryTable, sub: Subuniverse, max_vars: int, max_len: int) -> OracleOutcome:
-    """The first absorbing word in the raw word space: every sequence over
-    max_vars declared variables, in (length, lexicographic) order up to
-    max_len, each checked in full with verify_witness.
-
-    The independent cross-check of search_absorbing_term at small bounds.
-    """
-    _require_proper_closed(table, sub)
-    examined = 0
-    for q in range(2, max_len + 1):
-        if not length_evaluable(q, table.arity):
-            continue
-        for letters in itertools.product(range(max_vars), repeat=q):
-            examined += 1
-            word = Word(max_vars, letters)
-            if verify_witness(table, sub, word):
-                return OracleOutcome(word, examined, OracleStop.FOUND)
-    return OracleOutcome(None, examined, OracleStop.LENGTH_BOUND)
 
 
 def search_absorbing_term(

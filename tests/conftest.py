@@ -88,6 +88,13 @@ def predicate_tables(binary3):
     return tables
 
 
+def enumerate_pairs(tables, proper_only=True):
+    """Each table with each of its closed nonempty (proper) subuniverses."""
+    for table in tables:
+        for sub in enumerate_subuniverses(table, proper_only):
+            yield table, sub
+
+
 @functools.cache
 def all_subsets(size):
     """Every nonempty subset of the carrier, in ascending mask order."""

@@ -309,6 +309,11 @@ class TestComputeExponent:
                 assert p.period >= 1
                 assert p.tail >= 0
 
+    @pytest.mark.parametrize("a", [-1, 2])
+    def test_profile_rejects_a_non_element(self, a):
+        with pytest.raises(ValueError, match=f"element {a} is not an element index below 2"):
+            power_profile(Z2, a)
+
     def test_exponent_fixes_everything_and_is_minimal(self):
         for table in ASSOC_SMALL + list(enumerate_tables(GenSpec(3, 2))):
             k = compute_exponent(table)

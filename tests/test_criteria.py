@@ -13,18 +13,18 @@ from absorb import (
     Subuniverse,
     Word,
     compute_exponent,
+    check_pair,
     cond2_products,
     cond3_products,
     construct_witness,
     decide_theorem,
     derive_power_algebra,
     detect_case,
-    enumerate_pairs,
     eval_word,
     is_associative,
+    is_closed,
     is_commutative,
     is_idempotent,
-    scan_words,
     search_absorbing_term,
     verify_witness,
 )
@@ -36,11 +36,13 @@ from conftest import (
     MIN3,
     SUB0,
     SUB0_OF3,
+    SUB1,
     SUB01_OF3,
     TMIN2,
     TZ2,
     Z2,
     all_subsets,
+    enumerate_pairs,
 )
 from test_core import ASSOC_SMALL
 
@@ -308,11 +310,13 @@ LARGER_FULL = Subuniverse(4, frozenset({0, 1, 2, 3}))
 
 class TestPairGate:
     """Every (table, subset) entry point checks the carrier first; the
-    criterion and the oracle share one proper-and-closed check."""
+    criterion and the oracle share one proper-and-closed check, and
+    check_pair raises what the criterion raises."""
 
     @pytest.mark.parametrize(
         "check",
         [
+            lambda: is_closed(MAX3, FOREIGN),
             lambda: cond2_products(MAX3, FOREIGN),
             lambda: cond3_products(MAX3, FOREIGN),
             lambda: detect_case(MAX3, FOREIGN),
@@ -320,9 +324,10 @@ class TestPairGate:
             lambda: verify_witness(MAX3, FOREIGN, Word(2, (0, 1))),
             lambda: decide_theorem(MAX3, LARGER_FULL),
             lambda: search_absorbing_term(MAX3, LARGER_FULL),
-            lambda: scan_words(MAX3, LARGER_FULL, 2, 3),
+            lambda: check_pair(MAX3, LARGER_FULL),
         ],
         ids=[
+            "is_closed",
             "cond2_products",
             "cond3_products",
             "detect_case",
@@ -330,17 +335,27 @@ class TestPairGate:
             "verify_witness",
             "decide_theorem",
             "search_absorbing_term",
-            "scan_words",
+            "check_pair",
         ],
     )
     def test_rejects_a_foreign_carrier(self, check):
         with pytest.raises(ValueError, match="carrier"):
             check()
 
+    @staticmethod
+    def messages(error, table, sub):
+        """The message each public route raises on the pair, as a set."""
+        messages = set()
+        for route in (decide_theorem, search_absorbing_term, check_pair):
+            with pytest.raises(error) as raised:
+                route(table, sub)
+            messages.add(str(raised.value))
+        return messages
+
     def test_both_routes_reject_the_full_carrier_alike(self):
         full = Subuniverse(3, frozenset({0, 1, 2}))
-        with pytest.raises(NotProperSubuniverse) as criterion:
-            decide_theorem(MAX3, full)
-        with pytest.raises(NotProperSubuniverse) as oracle:
-            search_absorbing_term(MAX3, full)
-        assert str(criterion.value) == str(oracle.value)
+        assert len(self.messages(NotProperSubuniverse, MAX3, full)) == 1
+
+    def test_every_route_rejects_an_unclosed_subset_alike(self):
+        # 1 + 1 = 0 in Z2
+        assert len(self.messages(NotClosed, Z2, SUB1)) == 1

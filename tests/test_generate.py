@@ -15,7 +15,6 @@ from absorb import (
     NaryTable,
     canonical_form,
     derive_power_algebra,
-    enumerate_pairs,
     enumerate_tables,
     is_associative,
     is_commutative,
@@ -23,7 +22,7 @@ from absorb import (
     random_filtered,
 )
 from absorb.generate import MAX_FREE_CELLS, _cell_units, _dedup_canonical
-from conftest import LEFT_ZERO, MIN2, TZ2, Z2
+from conftest import LEFT_ZERO, MIN2, TZ2, Z2, enumerate_pairs
 from test_core import ASSOC_BINARY2, ASSOC_TERNARY2, naive_associative
 
 MAX2 = NaryTable.from_function(2, 2, max)
@@ -366,6 +365,8 @@ class TestPowerDedup:
 
 
 class TestEnumeratePairs:
+    """The pair stream the corpus tests are built on."""
+
     def test_min_has_both_singletons(self):
         pairs = list(enumerate_pairs([MIN2]))
         assert [(s.elements) for _, s in pairs] == [(0,), (1,)]

@@ -19,19 +19,31 @@ from absorb import (
     OracleStop,
     PreconditionsUnmet,
     Subuniverse,
+    TableFacts,
     check_pair,
     derive_power_algebra,
     derived_fact_probes,
-    enumerate_pairs,
     enumerate_subuniverses,
     enumerate_tables,
     run_corpus,
     table_digest,
+    table_facts,
 )
 from absorb.cli import main
 from absorb.fileio import save_algebra
 from absorb.harness import table_record
-from conftest import LEFT_ZERO, MIN2, NULL2, SUB0, SUB01_OF3, TMIN2, TMIN3, TZ2, Z2
+from conftest import (
+    LEFT_ZERO,
+    MIN2,
+    NULL2,
+    SUB0,
+    SUB01_OF3,
+    TMIN2,
+    TMIN3,
+    TZ2,
+    Z2,
+    enumerate_pairs,
+)
 from test_core import ASSOC_SMALL
 from test_criteria import PROJ_KILL_T
 
@@ -182,6 +194,30 @@ class TestCheckPair:
         monkeypatch.setattr(harness, "verify_witness", counting)
         assert report.violations == ()
         assert calls == [report.verdict.witness]
+
+    def test_pair_checked_once(self, monkeypatch):
+        # Given its table facts, a proper closed pair is checked for closure
+        # once by the criterion and once by the oracle, through the kernel;
+        # no public predicate runs and no table facts are computed.
+        facts = table_facts(TMIN3)
+        counts = collections.Counter()
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "absorb"]
+        for name in ("_closed", "is_closed", "cond2_products", "cond3_products", "detect_case"):
+            for module in modules:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(TableFacts, "__init__", counting("TableFacts", TableFacts.__init__))
+        report = check_pair(facts, SUB01_OF3, OracleBounds())
+        assert report.verdict.absorbs and report.oracle.found
+        assert counts == {"_closed": 2}
 
     def test_no_proved_violations_on_small_corpus(self):
         for table, sub in enumerate_pairs(ASSOC_SMALL):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,15 +21,13 @@ from absorb import (
     compute_exponent,
     decide_theorem,
     derive_power_algebra,
-    enumerate_pairs,
     enumerate_tables,
     oracle_agrees,
-    scan_words,
     search_absorbing_term,
     verify_witness,
 )
-from absorb.core import length_evaluable
-from conftest import LEFT_ZERO, MIN2, SUB0, Z2
+from absorb.core import _require_proper_closed, length_evaluable
+from conftest import LEFT_ZERO, MIN2, SUB0, Z2, enumerate_pairs
 from test_core import ASSOC_SMALL, element_power
 from test_criteria import PROJ_KILL_SUB, PROJ_KILL_T
 
@@ -68,6 +67,27 @@ def canonical_letter_seqs(length, max_vars):
             yield from rec(pos + 1, max(used, v + 1))
 
     yield from rec(0, 0)
+
+
+def scan_words(table, sub, max_vars, max_len):
+    """The first absorbing word in the raw word space: every sequence over
+    max_vars declared variables, in (length, lexicographic) order up to
+    max_len, each checked in full with verify_witness.
+
+    The raw reference search_absorbing_term is tested against at small
+    bounds; it checks its pair as the oracle does.
+    """
+    _require_proper_closed(table, sub)
+    examined = 0
+    for q in range(2, max_len + 1):
+        if not length_evaluable(q, table.arity):
+            continue
+        for letters in itertools.product(range(max_vars), repeat=q):
+            examined += 1
+            word = Word(max_vars, letters)
+            if verify_witness(table, sub, word):
+                return OracleOutcome(word, examined, OracleStop.FOUND)
+    return OracleOutcome(None, examined, OracleStop.LENGTH_BOUND)
 
 
 def shortest_absorbing_length(table, sub, max_vars, max_len):

@@ -19,16 +19,15 @@ from absorb import (
     check_pair,
     cond2_products,
     cond3_products,
-    enumerate_pairs,
     enumerate_subuniverses,
     is_closed,
-    scan_words,
     search_absorbing_term,
 )
 from absorb.core import PLAN_CACHE_MAX_OFFSETS
-from conftest import NULL2, SUB0, Z2, all_subsets
+from conftest import NULL2, SUB0, Z2, all_subsets, enumerate_pairs
 from test_core import naive_enumerate_subuniverses, naive_is_closed
 from test_criteria import naive_cond2_products, naive_cond3_products
+from test_oracle import scan_words
 
 # the default budget; none, so that every plan is built per call; and one
 # so small that the cache drops its plans many times in one test
@@ -120,16 +119,14 @@ class TestPlanCacheBound:
         monkeypatch.setattr(absorb.core, "PLAN_CACHE_MAX_OFFSETS", 100)
         table = NaryTable.from_function(3, 7, min)  # 343 entries
         sub = Subuniverse(7, frozenset({0}))
-        # the plans over {0} hold 1 offset for closure, 2 * 7 for the padded
-        # products, 7**3 - 6**3 = 127 for cond3 and 3**2 * (3 * 6 + 7) = 225
-        # for the closure steps in three variables
+        # the plans over {0} hold 1 offset for closure, 7**3 - 6**3 = 127
+        # for the product checks (the padded products first) and
+        # 3**2 * (3 * 6 + 7) = 225 for the closure steps in three variables
         assert is_closed(table, sub) and cond2_products(table, sub) and cond3_products(table, sub)
         assert search_absorbing_term(table, sub, OracleBounds(3, 3)).found
-        assert set(absorb.core._plans) == {
-            (absorb.core._subset_plan, 7, 3, 1),
-            (absorb.criteria._cond2_plan, 7, 3, 1),
-        }
-        assert absorb.core._plan_offsets == held_offsets() == 1 + 14
+        assert absorb.criteria._products_plan(7, 3, 1)[1] == 127
+        assert set(absorb.core._plans) == {(absorb.core._subset_plan, 7, 3, 1)}
+        assert absorb.core._plan_offsets == held_offsets() == 1
 
     def test_held_offsets_stay_within_the_budget(
         self, binary3, ternary2, cleared_plans, monkeypatch
