@@ -30,6 +30,10 @@ SUBSET_SCAN_MAX_SIZE = 16
 # also keeps every element below 256, so canonical_form works on bytes.
 CANONICAL_PERM_MAX_SIZE = 6
 
+# derive_power_algebra tabulates size**k entries; cap them as generate caps
+# the tuples an associativity check reads.
+POWER_ALGEBRA_MAX_ENTRIES = 1 << 22
+
 # Plans are the index lists a check gathers from a table's entries (subset
 # checks, the oracle's closure steps, canonical relabelings); they depend
 # only on the shape and a key.  One cache keeps them for the life of the
@@ -259,18 +263,24 @@ def derive_power_algebra(table: NaryTable, k: int) -> NaryTable:
     Idempotent whenever k is an exponent of the table (a^k = a for all a).
     The product of (x_1..x_p, y_1..y_(n-1)) is f(v, y_1..y_(n-1)) with v the
     product of x_1..x_p, so each further n-1 arguments replace every value
-    v, in order, by the row of entries at v * m**(n-1).
+    v, in order, by the row of entries at v * m**(n-1).  Raises
+    BudgetExceeded, before it allocates, when the m**k entries would pass
+    POWER_ALGEBRA_MAX_ENTRIES.
     """
     if k <= 1:
         raise ValueError(f"target arity must be > 1, got {k}")
-    n, entries = table.arity, table.entries
+    n, m, entries = table.arity, table.size, table.entries
     _require_evaluable(k, n)
-    stride = table.size ** (n - 1)
-    rows = [entries[v * stride : (v + 1) * stride] for v in range(table.size)]
+    # m**k >= 2**k passes the cap for any longer k, so it is not computed then
+    cap = POWER_ALGEBRA_MAX_ENTRIES
+    if m > 1 and (k >= cap.bit_length() or m**k > cap):
+        raise BudgetExceeded(f"the {k}-ary power algebra's {m}^{k} entries exceed the cap of {cap}")
+    stride = m ** (n - 1)
+    rows = [entries[v * stride : (v + 1) * stride] for v in range(m)]
     power = entries
     for _ in range((k - n) // (n - 1)):
         power = tuple(itertools.chain.from_iterable(map(rows.__getitem__, power)))
-    return NaryTable(arity=k, size=table.size, entries=power)
+    return NaryTable(arity=k, size=m, entries=power)
 
 
 def is_associative(table: NaryTable) -> bool:

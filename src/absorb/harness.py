@@ -6,6 +6,8 @@ proved facts it violates, and whether it is a counterexample.  run_corpus
 takes any iterable of tables, writes one JSON record per line (a table
 record, then one pair record per proper subuniverse of that table), and
 classifies the outcome (consistent / counterexample-candidate / failed).
+A run encodes each distinct pair outcome once and splices each pair's
+subset into those bytes; the lines are those of to_record, byte for byte.
 The report is its own checkpoint: a table record gives the table, each
 pair record its subset, so an interrupted run resumes from the report
 alone and comes out byte-identical.
@@ -266,15 +268,18 @@ def check_pair(
     table: NaryTable | TableFacts, sub: Subuniverse, bounds: OracleBounds = OracleBounds()
 ) -> PairReport:
     """Run both routes on one valid (associative, closed, proper) pair, from
-    one computation of the table facts; cond3 is read unchecked after them."""
+    one computation of the table facts.  cond3 is read unchecked after them,
+    and only when cond2 holds: cond2 gathers a prefix of what cond3
+    gathers, so a pair that fails cond2 fails cond3."""
     facts = table_facts(table)
     table = facts.table
     verdict = decide_theorem(facts, sub)
     outcome = search_absorbing_term(table, sub, bounds)
+    cond2 = verdict.failed_condition is not FailedCondition.PRODUCTS_ESCAPE_B
     return PairReport(
         table=table,
         sub=sub,
-        cond3=_cond3(table, sub),
+        cond3=cond2 and _cond3(table, sub),
         verdict=verdict,
         oracle=outcome,
         agreement=oracle_agrees(verdict, outcome, bounds),
@@ -324,6 +329,12 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 def _dump(record: dict) -> bytes:
     return _ENCODER.encode(record).encode() + b"\n"
+
+
+# A corpus run encodes each distinct pair outcome once (see _records).  Its
+# memo is emptied when it would pass this many entries, as the plan cache
+# is; an entry holds no table and measured about 1.4 KB.
+PAIR_RECORD_MEMO_MAX = 1024
 
 
 def _header_record(bounds: OracleBounds, meta: dict | None) -> dict:
@@ -413,16 +424,43 @@ def _resume(
     return tables
 
 
-def _records(tables: Iterable[NaryTable], bounds: OracleBounds) -> Iterator[dict]:
-    """Each table's record, then its pair records, until a fatal pair."""
+def _records(
+    tables: Iterable[NaryTable], bounds: OracleBounds, memo: dict
+) -> Iterator[tuple[dict, bytes]]:
+    """Each table's record and its line, then those of its pairs, until a
+    fatal pair.
+
+    A pair that is no counterexample is encoded once per outcome: memo maps
+    (cond3, verdict, oracle, agreement, violations), which fix every byte of
+    its record but the subset, to that record with an empty subset and its
+    line cut around the subset's digits, and each pair with that outcome
+    gets the line with its own digits spliced in.  A flagged pair is
+    encoded whole, so the tally reads its subset.
+    """
     for table in tables:
         facts = table_facts(table)
-        yield table_record(table)
+        record = table_record(table)
+        yield record, _dump(record)
         for sub in enumerate_subuniverses(table, proper_only=True):
             pair = check_pair(facts, sub, bounds)
-            yield pair.to_record()
-            if pair.violations:
-                return
+            if pair.counterexample:
+                record = pair.to_record()
+                yield record, _dump(record)
+                if pair.violations:
+                    return
+                continue
+            key = (pair.cond3, pair.verdict, pair.oracle, pair.agreement, pair.violations)
+            entry = memo.get(key)
+            if entry is None:
+                if len(memo) >= PAIR_RECORD_MEMO_MAX:
+                    memo.clear()
+                record = pair.to_record()
+                record["sub"] = []
+                head, marker, tail = _dump(record).partition(b'"sub":[]')
+                assert marker and b'"sub":[]' not in tail, "one subset per pair record"
+                entry = memo[key] = (record, head + b'"sub":[', b"]" + tail)
+            record, head, tail = entry
+            yield record, head + ",".join(map(str, sub.elements)).encode() + tail
 
 
 def run_corpus(
@@ -452,8 +490,8 @@ def run_corpus(
         if pending is None:
             out.write(header_bytes)
             pending = stream
-        for record in _records(pending, bounds):
-            out.write(_dump(record))
+        for record, line in _records(pending, bounds, {}):
+            out.write(line)
             report.add_record(record)
         out.write(_dump(report.summary_record()))
 

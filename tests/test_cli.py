@@ -334,6 +334,15 @@ class TestPowerAlgebra:
         assert "length 4 is not 1 mod 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_over_budget_exits_1(self, capsys, tmp_path):
+        min3 = tmp_path / "min3.json"
+        save_algebra(str(min3), NaryTable.from_function(2, 3, min))
+        out = tmp_path / "x.json"
+        code = main(["power-algebra", "--algebra", str(min3), "--k", "17", "--out", str(out)])
+        assert code == 1
+        assert "exceed the cap" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonassociative_input_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         save_algebra(str(bad), NaryTable(2, 2, (0, 1, 0, 0)))

@@ -1,8 +1,11 @@
 import itertools
+import tracemalloc
 
 import pytest
 
+import absorb.core
 from absorb import (
+    BudgetExceeded,
     CaseTag,
     FailedCondition,
     LengthNotEvaluable,
@@ -107,6 +110,15 @@ class TestCond3:
         for table in predicate_tables:
             for sub in all_subsets(table.size):
                 assert cond3_products(table, sub) == naive_cond3_products(table, sub), (table, sub)
+
+    def test_fails_wherever_cond2_fails(self):
+        # check_pair reads cond3 only where cond2 holds
+        pairs = list(enumerate_pairs(ASSOC_SMALL))
+        every_ternary2 = [NaryTable(3, 2, e) for e in itertools.product(range(2), repeat=8)]
+        pairs += [(t, s) for t in every_ternary2 for s in all_subsets(2)]
+        escaping = [(t, s) for t, s in pairs if not cond2_products(t, s)]
+        assert escaping
+        assert not any(cond3_products(t, s) for t, s in escaping)
 
 
 class TestDecideTheorem:
@@ -262,6 +274,25 @@ class TestDerivePowerAlgebra:
             derive_power_algebra(TZ2, 4)
         with pytest.raises(ValueError):
             derive_power_algebra(MIN2, 1)
+
+    def test_budget_checked_before_allocating(self, monkeypatch):
+        min3 = NaryTable.from_function(2, 3, min)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match=r"3\^17 entries exceed the cap of 4194304"):
+                derive_power_algebra(min3, 17)
+            # a k too long to compute 3**k cheaply is refused without it
+            with pytest.raises(BudgetExceeded, match=r"3\^1000001 entries"):
+                derive_power_algebra(min3, 1_000_001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert derive_power_algebra(NaryTable(2, 1, (0,)), 101).entries == (0,)
+        monkeypatch.setattr(absorb.core, "POWER_ALGEBRA_MAX_ENTRIES", 8)
+        assert len(derive_power_algebra(Z2, 3).entries) == 8
+        with pytest.raises(BudgetExceeded):
+            derive_power_algebra(Z2, 4)
 
     def test_matches_per_tuple_reference(self, binary3, binary4):
         # The reference reduces every k-tuple left-greedily.  The size-2

@@ -66,6 +66,9 @@ FORMAT2_BODY_SHA256 = {
     GenSpec(2, 3): "2beae4b5fa53af490e3cba9edc4c422651537d99c47b93897d9ee6139ac90ac5",
     GenSpec(3, 3, mode="power"): "efc34874f4fb2aa75acf7af77d8e37483918758e05fa5cf36ad326348ef91cc9",
 }
+# Length and sha256 of the body of the benchmark's sweep-binary4 report:
+# every binary size-4 table at OracleBounds(max_vars=2, max_len=2).
+SWEEP_BINARY4_BODY = (10_206_294, "11a48e153fc46aa64585c8ddec2b1e8802c84b575010c4178348e959deb6dfba")
 TABLE_KEYS = {"type", "table_id", "arity", "size", "table"}
 PAIR_KEYS = {"type", "sub", "cond3", "verdict", "oracle", "agreement", "counterexample",
              "fatal", "violations"}
@@ -200,29 +203,50 @@ class TestCheckPair:
         # once by the criterion and once by the oracle, through the kernel;
         # no public predicate runs and no table facts are computed.
         facts = table_facts(TMIN3)
-        counts = collections.Counter()
-
-        def counting(name, real):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return real(*args, **kwargs)
-
-            return wrapper
-
-        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "absorb"]
-        for name in ("_closed", "is_closed", "cond2_products", "cond3_products", "detect_case"):
-            for module in modules:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        monkeypatch.setattr(TableFacts, "__init__", counting("TableFacts", TableFacts.__init__))
+        counts = count_checks(monkeypatch)
         report = check_pair(facts, SUB01_OF3, OracleBounds())
         assert report.verdict.absorbs and report.oracle.found
         assert counts == {"_closed": 2}
+
+    def test_cond3_read_only_where_cond2_holds(self, monkeypatch):
+        # cond2 gathers a prefix of cond3's list: a pair that fails cond2
+        # fails cond3 without the gather, and one that holds gathers once
+        facts = [table_facts(LEFT_ZERO), table_facts(MIN2)]
+        counts = count_checks(monkeypatch, "_cond3")
+        escaping = check_pair(facts[0], SUB0, OracleBounds())
+        assert (escaping.cond2, escaping.cond3) == (False, False)
+        assert counts == {"_closed": 2}
+        counts.clear()
+        holding = check_pair(facts[1], SUB0, OracleBounds())
+        assert (holding.cond2, holding.cond3) == (True, True)
+        assert counts == {"_closed": 2, "_cond3": 1}
 
     def test_no_proved_violations_on_small_corpus(self):
         for table, sub in enumerate_pairs(ASSOC_SMALL):
             report = check_pair(table, sub, OracleBounds())
             assert report.violations == ()
+
+
+def count_checks(monkeypatch, *more):
+    """Count the calls of the closure kernel, the public predicates, the
+    TableFacts constructor and the names in more, at every absorb module
+    that binds them."""
+    counts = collections.Counter()
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "absorb"]
+    for name in ("_closed", "is_closed", "cond2_products", "cond3_products", "detect_case", *more):
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    monkeypatch.setattr(TableFacts, "__init__", counting("TableFacts", TableFacts.__init__))
+    return counts
 
 
 class TestTableDigest:
@@ -592,6 +616,55 @@ class TestRunStatus:
         assert lines[-1]["status"] == "failed"
 
 
+def assert_lines_from_builder(path, bounds):
+    """Each pair line of the report at path is to_record of check_pair on
+    its table and subset, encoded whole; returns the number of pair lines."""
+    pairs = 0
+    for line in path.read_bytes().splitlines(keepends=True):
+        record = json.loads(line)
+        if record["type"] == "table":
+            table = NaryTable(record["arity"], record["size"], tuple(record["table"]))
+        elif record["type"] == "pair":
+            sub = Subuniverse(table.size, frozenset(record["sub"]))
+            pair = absorb.harness.check_pair(table, sub, bounds)
+            assert line == absorb.harness._dump(pair.to_record()), (table, sub)
+            pairs += 1
+    return pairs
+
+
+class TestPairRecordMemo:
+    @pytest.mark.parametrize("memo_max", [absorb.harness.PAIR_RECORD_MEMO_MAX, 1])
+    @pytest.mark.parametrize("spec", list(REPORT_BODY_SHA256))
+    def test_pair_lines_are_the_builders(self, tmp_path, monkeypatch, spec, memo_max):
+        monkeypatch.setattr(absorb.harness, "PAIR_RECORD_MEMO_MAX", memo_max)
+        path = tmp_path / "report.jsonl"
+        report = run_corpus(enumerate_tables(spec), OracleBounds(), str(path))
+        assert assert_lines_from_builder(path, OracleBounds()) == report.pairs > 0
+
+    @pytest.mark.parametrize("memo_max", [absorb.harness.PAIR_RECORD_MEMO_MAX, 1])
+    def test_flagged_pair_lines_are_the_builders(self, tmp_path, monkeypatch, binary3, memo_max):
+        # conjectural pairs flipped to Disagree are candidates; the first
+        # binary pair on {1, 2} flipped to Disagree is fatal and ends the run
+        monkeypatch.setattr(absorb.harness, "PAIR_RECORD_MEMO_MAX", memo_max)
+        flip_to_disagree(
+            monkeypatch,
+            lambda r: r.verdict.proof_status is CaseTag.CONJECTURAL
+            or (r.table.arity == 2 and r.sub.mask == 6),
+        )
+        path = tmp_path / "report.jsonl"
+        report = run_corpus([PROJ_KILL_T] + binary3[:14], QUICK, str(path))
+        assert report.status == "failed"
+        assert [c["fatal"] for c in report.counterexamples] == [False] * 5 + [True]
+        assert assert_lines_from_builder(path, QUICK) == report.pairs == 7 + 47
+
+    def test_memo_stays_within_its_cap(self, monkeypatch, binary3):
+        monkeypatch.setattr(absorb.harness, "PAIR_RECORD_MEMO_MAX", 3)
+        memo = {}
+        sizes = [len(memo) for _ in absorb.harness._records(binary3, QUICK, memo)]
+        assert max(sizes) == 3
+        assert 1 in sizes[sizes.index(3) :]  # full, then emptied
+
+
 class TestReportPins:
     def test_dump_is_json_dumps(self):
         # _dump reuses one encoder; its bytes must stay those of json.dumps
@@ -647,6 +720,12 @@ class TestReportPins:
             assert hashlib.sha256(body).hexdigest() == REPORT_BODY_SHA256[key], key
             # nothing the format-2 records held is lost
             assert hashlib.sha256(format2_body(body)).hexdigest() == FORMAT2_BODY_SHA256[key], key
+
+    def test_sweep_binary4_report_pinned(self, tmp_path, binary4):
+        path = tmp_path / "report.jsonl"
+        run_corpus(binary4, QUICK, str(path))
+        body = path.read_bytes().split(b"\n", 1)[1]
+        assert (len(body), hashlib.sha256(body).hexdigest()) == SWEEP_BINARY4_BODY
 
     def test_table_facts_computed_once_per_table(self, counted_binary3_run):
         report, _data, counts = counted_binary3_run
