@@ -26,7 +26,6 @@ from .fileio import load_algebra, load_subuniverse, read_corpus_dir, save_algebr
 from .generate import MODES, GenSpec, enumerate_tables
 from .harness import (
     STATUS_CONSISTENT,
-    Agreement,
     check_pair,
     oracle_record,
     run_corpus,
@@ -68,8 +67,9 @@ def _cmd_check(args) -> int:
         doc["theorem"] = verdict_record(pair.verdict)
         doc["oracle"] = oracle_record(pair.oracle)
         doc["agreement"] = pair.agreement.value
-        if pair.agreement is Agreement.DISAGREE:
-            code = 2
+        for violation in pair.violations:
+            print(f"violation: {violation}", file=sys.stderr)
+        code = 2 if pair.counterexample else 0
     _emit(doc)
     return code
 

@@ -23,16 +23,16 @@ from .errors import (
     NotProperSubuniverse,
 )
 
-# Exhaustive subuniverse scans iterate 2^m - 1 subsets; cap the carrier size.
+# Exhaustive subuniverse scans iterate 2^m - 2 subsets; cap the carrier size.
 SUBSET_SCAN_MAX_SIZE = 16
 
 # Element-relabeling search bound for canonical forms (m! permutations); it
 # also keeps every element below 256, so canonical_form works on bytes.
 CANONICAL_PERM_MAX_SIZE = 6
 
-# derive_power_algebra tabulates size**k entries; cap them as generate caps
-# the tuples an associativity check reads.
-POWER_ALGEBRA_MAX_ENTRIES = 1 << 22
+# Values one construction builds at once: power-algebra entries, the
+# (2n-1)-tuples of one associativity check, the oracle's closure-plan offsets.
+BUILD_MAX_VALUES = 1 << 22
 
 # Plans are the index lists a check gathers from a table's entries (subset
 # checks, the oracle's closure steps, canonical relabelings); they depend
@@ -67,15 +67,10 @@ class NaryTable:
             raise ValueError(f"size must be an int >= 1, got {self.size!r}")
         object.__setattr__(self, "entries", tuple(self.entries))
         count = len(self.entries)
-        if self.size > 1 and self.arity > count.bit_length():
-            # size**arity >= 2**arity > count: reject before building a power
-            # that can have millions of digits.
-            expected: int | str = f"{self.size}**{self.arity}"
-        else:
-            expected = self.size**self.arity
-        if count != expected:
+        if _power(self.size, self.arity, count) != count:
             raise ValueError(
-                f"size {self.size} arity {self.arity} needs {expected} entries, got {count}"
+                f"size {self.size} arity {self.arity} needs {self.size}**{self.arity} "
+                f"entries, got {count}"
             )
         for e in self.entries:
             if type(e) is not int or not 0 <= e < self.size:  # bool is rejected too
@@ -173,6 +168,23 @@ class PowerProfile:
     period: int
 
 
+def _power(base: int, exponent: int, cap: int) -> int | str:
+    """base**exponent when it is at most cap, else the text base^exponent.  An
+    exponent of cap.bit_length() or more puts any base above 1 past cap, so
+    that power, which can have millions of digits, is never built."""
+    if base > 1 and exponent >= cap.bit_length():
+        return f"{base}^{exponent}"
+    power = base**exponent
+    return power if power <= cap else f"{base}^{exponent}"
+
+
+def _require_within(amount: int | str, what: str, cap: int) -> None:
+    """The one raiser of BudgetExceeded: an amount past cap, or a _power text
+    (past a cap at least this one), named with what it counts."""
+    if type(amount) is str or amount > cap:
+        raise BudgetExceeded(f"{amount} {what} exceed the cap of {cap}")
+
+
 def length_evaluable(length: int, arity: int) -> bool:
     return length >= 1 and (length - 1) % (arity - 1) == 0
 
@@ -265,16 +277,13 @@ def derive_power_algebra(table: NaryTable, k: int) -> NaryTable:
     product of x_1..x_p, so each further n-1 arguments replace every value
     v, in order, by the row of entries at v * m**(n-1).  Raises
     BudgetExceeded, before it allocates, when the m**k entries would pass
-    POWER_ALGEBRA_MAX_ENTRIES.
+    BUILD_MAX_VALUES.
     """
     if k <= 1:
         raise ValueError(f"target arity must be > 1, got {k}")
     n, m, entries = table.arity, table.size, table.entries
     _require_evaluable(k, n)
-    # m**k >= 2**k passes the cap for any longer k, so it is not computed then
-    cap = POWER_ALGEBRA_MAX_ENTRIES
-    if m > 1 and (k >= cap.bit_length() or m**k > cap):
-        raise BudgetExceeded(f"the {k}-ary power algebra's {m}^{k} entries exceed the cap of {cap}")
+    _require_within(_power(m, k, BUILD_MAX_VALUES), "entries", BUILD_MAX_VALUES)
     stride = m ** (n - 1)
     rows = [entries[v * stride : (v + 1) * stride] for v in range(m)]
     power = entries
@@ -383,11 +392,7 @@ def _canonical_bytes(table: NaryTable) -> bytes:
     has an idempotent, only the relabelings sending one to 0 can be minimal.
     """
     m, n = table.size, table.arity
-    if m > CANONICAL_PERM_MAX_SIZE:
-        raise BudgetExceeded(
-            f"canonical form over {m}! relabelings exceeds the cap of "
-            f"{CANONICAL_PERM_MAX_SIZE}!"
-        )
+    _require_within(m, "elements in a canonical form", CANONICAL_PERM_MAX_SIZE)
     if m == 1:
         return bytes(table.entries)
     diagonal = _diagonal(m, n)
@@ -514,19 +519,15 @@ def is_closed(table: NaryTable, sub: Subuniverse) -> bool:
     return _closed(table, sub)
 
 
-def enumerate_subuniverses(table: NaryTable, proper_only: bool) -> list[Subuniverse]:
-    """All nonempty closed subsets in ascending bitmask order; the
+def enumerate_subuniverses(table: NaryTable) -> list[Subuniverse]:
+    """All proper nonempty closed subsets in ascending bitmask order; the
     Subuniverse objects come from the subset plans, so tables of one shape
     share them."""
     m = table.size
-    if m > SUBSET_SCAN_MAX_SIZE:
-        raise BudgetExceeded(
-            f"subuniverse scan over 2^{m} subsets exceeds the cap of {SUBSET_SCAN_MAX_SIZE}"
-        )
-    full = (1 << m) - 1
+    _require_within(m, "elements in a subuniverse scan", SUBSET_SCAN_MAX_SIZE)
     n, entries = table.arity, table.entries
     found = []
-    for mask in range(1, full if proper_only else full + 1):
+    for mask in range(1, (1 << m) - 1):
         sub, gather = _plan(_subset_plan, m, n, mask)
         if sub.members.issuperset(gather(entries)):
             found.append(sub)

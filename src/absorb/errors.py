@@ -22,7 +22,7 @@ class NotProperSubuniverse(AbsorbError):
 
 
 class BudgetExceeded(AbsorbError):
-    """Requested enumeration or scan exceeds the configured budget."""
+    """A construction's size passes its cap; raised by core._require_within alone."""
 
 
 class PreconditionsUnmet(AbsorbError):

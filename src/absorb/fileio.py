@@ -74,10 +74,12 @@ def load_subuniverse(path: str, carrier_size: int) -> Subuniverse:
 
 
 def write_corpus_dir(dirpath: str, spec: GenSpec, tables: Iterable[NaryTable]) -> dict:
-    """Write one algebra file per table plus corpus.json; returns the metadata."""
-    os.makedirs(dirpath, exist_ok=True)
+    """Write one algebra file per table plus corpus.json; returns the metadata.
+    Creates nothing before the stream yields its first table or ends."""
     files = []
     for i, table in enumerate(tables):
+        if i == 0:
+            os.makedirs(dirpath, exist_ok=True)
         name = f"table_{i:06d}.json"
         save_algebra(os.path.join(dirpath, name), table)
         files.append(name)
@@ -88,6 +90,7 @@ def write_corpus_dir(dirpath: str, spec: GenSpec, tables: Iterable[NaryTable]) -
         "count": len(files),
         "files": files,
     }
+    os.makedirs(dirpath, exist_ok=True)
     with open(os.path.join(dirpath, CORPUS_META), "w", encoding="utf-8") as f:
         json.dump(meta, f, sort_keys=True, indent=1)
         f.write("\n")

@@ -20,16 +20,20 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import (  # canonical_form is looked up here by bench/run.py:install
+    BUILD_MAX_VALUES,
+    CANONICAL_PERM_MAX_SIZE,
     NaryTable,
     _canonical_bytes,
+    _power,
     _relabeling_sources,
+    _require_within,
     canonical_form,
     derive_power_algebra,
     is_associative,
     is_commutative,
     is_idempotent,
 )
-from .errors import AttemptCapExhausted, BudgetExceeded
+from .errors import AttemptCapExhausted
 
 # Backtracking budget: number of free cells (or cell orbits, once filters
 # pin some of them) that the search may branch on.  16 admits all binary
@@ -43,12 +47,11 @@ GENERATOR_NAME = "mt19937"
 
 MODES = ("exhaustive", "power", "random")
 
-# Sampling budgets: (2n-1)-tuples one draw's associativity check may read,
-# and that all draws of one stream may read together.  is_associative
-# builds a list of m**(2n-1) values per bracketing, so 7-ary tables of size
-# 7 (7**13 tuples) would never finish one draw, while 4-ary tables of size 4
-# read 4**7 = 16,384 tuples per draw and stop after 4,096 draws.
-MAX_ASSOC_TUPLES = 1 << 22
+# Sampling budget: (2n-1)-tuples that all draws of one stream may read
+# together; one draw's associativity check builds a list of m**(2n-1)
+# values per bracketing, within core.BUILD_MAX_VALUES.  So 7-ary tables of
+# size 7 (7**13 tuples) are refused, while 4-ary tables of size 4 read
+# 4**7 = 16,384 tuples per draw and stop after 4,096 draws.
 MAX_SAMPLE_TUPLES = 1 << 26
 
 
@@ -188,13 +191,13 @@ def _backtrack_tables(
     """
     # The unit count of _cell_units, before it builds one cell per n-tuple:
     # commutativity leaves one unit per multiset, idempotence pins m of them.
-    free = math.comb(size + arity - 1, arity) if commutative else size**arity
-    if idempotent:
+    cell_count = _power(size, arity, BUILD_MAX_VALUES)
+    free = math.comb(size + arity - 1, arity) if commutative else cell_count
+    if idempotent and type(free) is int:
         free -= size
-    if free > MAX_FREE_CELLS:
-        raise BudgetExceeded(
-            f"{free} free cells exceed the backtracking budget of {MAX_FREE_CELLS}"
-        )
+    _require_within(free, "free cells", MAX_FREE_CELLS)
+    if canonical:
+        _require_within(size, "elements in a canonical form", CANONICAL_PERM_MAX_SIZE)
     units, forced = _cell_units(size, arity, idempotent, commutative)
     instances, triggers = _assoc_instances(size, arity)
     cells: list[int | None] = [None] * (size**arity)
@@ -223,8 +226,6 @@ def _backtrack_tables(
     if not all(cell_consistent(c) for c in forced):
         return
 
-    # MAX_FREE_CELLS admits no shape above size 6, so the m! relabelings stay
-    # within CANONICAL_PERM_MAX_SIZE without a check of their own.
     top = len(cells)
     Live = list[tuple[tuple[int, ...], list[int], int]]
     live: Live = []
@@ -285,12 +286,8 @@ def random_filtered(
     keepers, or earlier with an AttemptCapExhausted warning when the next
     draw would take the tuples read past MAX_SAMPLE_TUPLES.
     """
-    tuples = size ** (2 * arity - 1)
-    if tuples > MAX_ASSOC_TUPLES:
-        raise BudgetExceeded(
-            f"{tuples} tuples per associativity check exceed the sampling "
-            f"budget of {MAX_ASSOC_TUPLES}"
-        )
+    tuples = _power(size, 2 * arity - 1, BUILD_MAX_VALUES)
+    _require_within(tuples, "tuples per associativity check", BUILD_MAX_VALUES)
     units, forced = _cell_units(size, arity, idempotent, commutative)
     rng = random.Random(seed)
     template: list[int] = [0] * (size**arity)

@@ -356,7 +356,7 @@ def _header_record(bounds: OracleBounds, meta: dict | None) -> dict:
 def _expected_records(table: NaryTable) -> Iterator[tuple[str, str, list[int]]]:
     """(type, key, value) of the records a run writes for table, in order."""
     yield "table", "table", list(table.entries)
-    for sub in enumerate_subuniverses(table, proper_only=True):
+    for sub in enumerate_subuniverses(table):
         yield "pair", "sub", list(sub.elements)
 
 
@@ -441,7 +441,7 @@ def _records(
         facts = table_facts(table)
         record = table_record(table)
         yield record, _dump(record)
-        for sub in enumerate_subuniverses(table, proper_only=True):
+        for sub in enumerate_subuniverses(table):
             pair = check_pair(facts, sub, bounds)
             if pair.counterexample:
                 record = pair.to_record()

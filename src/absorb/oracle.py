@@ -13,11 +13,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
+    BUILD_MAX_VALUES,
     NaryTable,
     Subuniverse,
     Word,
     _plan,
+    _power,
     _require_proper_closed,
+    _require_within,
     compute_exponent,
 )
 from .criteria import verify_witness
@@ -99,10 +102,17 @@ def _closure_plan(size: int, arity: int, max_vars: int, mask: int) -> tuple[tupl
 
     The assignment list is the domain D, then the size diagonal ones.  Each
     step appends one tuple of arity-1 letters, as the flat-index offsets of
-    their values over the assignment list.
+    their values over the assignment list.  Raises BudgetExceeded, before it
+    builds D, when the offsets would pass BUILD_MAX_VALUES.
     """
     elements = Subuniverse.from_mask(size, mask).elements
     outside = [a for a in range(size) if not mask >> a & 1]
+    cap = BUILD_MAX_VALUES
+    steps, rests = _power(max_vars, arity - 1, cap), _power(len(elements), max_vars - 1, cap)
+    offsets: int | str = f"{steps}*({max_vars}*{rests}*{len(outside)} + {size})"
+    if type(steps) is int and type(rests) is int:
+        offsets = steps * (max_vars * rests * len(outside) + size)
+    _require_within(offsets, "closure-plan offsets", cap)
     domain = [
         rest[:i] + (a,) + rest[i:]
         for i in range(max_vars)

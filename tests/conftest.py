@@ -88,10 +88,10 @@ def predicate_tables(binary3):
     return tables
 
 
-def enumerate_pairs(tables, proper_only=True):
-    """Each table with each of its closed nonempty (proper) subuniverses."""
+def enumerate_pairs(tables):
+    """Each table with each of its proper closed nonempty subuniverses."""
     for table in tables:
-        for sub in enumerate_subuniverses(table, proper_only):
+        for sub in enumerate_subuniverses(table):
             yield table, sub
 
 
@@ -108,7 +108,7 @@ def check_corpus(tables, bounds=None, per_table_bounds=None):
     for table in tables:
         b = per_table_bounds(table) if per_table_bounds is not None else bounds
         bkey = (b.max_vars, b.max_len)
-        for sub in enumerate_subuniverses(table, True):
+        for sub in enumerate_subuniverses(table):
             key = (table.arity, table.entries, sub.mask, bkey)
             report = cache.get(key)
             if report is None:

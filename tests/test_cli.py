@@ -159,6 +159,25 @@ class TestCheck:
             assert main(["check", "--algebra", str(bad), "--sub", sub, "--method", method]) == 1
             assert capsys.readouterr() == ("", "error: table is not associative\n")
 
+    def test_counterexample_exits_2(self, capsys, files, monkeypatch):
+        # a rejected witness makes the pair fatal, though both routes agree
+        import absorb.harness
+
+        monkeypatch.setattr(absorb.harness, "verify_witness", lambda *_: False)
+        assert main(["check", "--algebra", files["min"], "--sub", files["sub0"]]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["agreement"] == "Agree"
+        assert err == (
+            "violation: cond3 with exponent but constructed witness rejected\n"
+            "violation: absorbing verdict carries a rejected witness\n"
+        )
+
+    def test_oracle_over_budget_exits_1(self, capsys, files):
+        argv = ["check", "--algebra", files["min"], "--sub", files["sub0"]]
+        assert main(argv + ["--method", "oracle", "--max-vars", str(10**9)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "closure-plan offsets exceed the cap of 4194304" in err
+
     def test_missing_file_is_operational_error(self, capsys, files):
         code = main(["check", "--algebra", "nope.json", "--sub", files["sub0"]])
         assert code == 1
@@ -305,6 +324,18 @@ class TestEnumerateAndVerify:
     def test_budget_error_exit(self, capsys, tmp_path):
         code = main(["enumerate", "--size", "3", "--arity", "3", "--out", str(tmp_path / "x")])
         assert code == 1
+        assert capsys.readouterr() == ("", "error: 27 free cells exceed the cap of 16\n")
+        assert not (tmp_path / "x").exists()  # the stream failed before its first table
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    def test_huge_arity_exits_1_at_once(self, capsys, tmp_path, mode):
+        out = tmp_path / "x"
+        shape = ["--size", "3", "--arity", "100000000", "--mode", mode, "--count", "1"]
+        assert main(["enumerate", *shape, "--out", str(out)]) == 1
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and stderr.count("\n") == 1 and len(stderr) < 200
+        assert stderr.startswith("error: 3^") and " exceed the cap of " in stderr
+        assert not out.exists()
 
 
 class TestPowerAlgebra:

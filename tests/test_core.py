@@ -64,13 +64,11 @@ def naive_is_commutative(table):
     return True
 
 
-def naive_enumerate_subuniverses(table, proper_only):
-    """Reference: build every mask's subset in ascending order, keep the closed ones."""
-    full = (1 << table.size) - 1
+def naive_enumerate_subuniverses(table):
+    """Reference: build every proper mask's subset in ascending order, keep
+    the closed ones."""
     found = []
-    for mask in range(1, full + 1):
-        if proper_only and mask == full:
-            continue
+    for mask in range(1, (1 << table.size) - 1):
         sub = Subuniverse.from_mask(table.size, mask)
         if naive_is_closed(table, sub):
             found.append(sub)
@@ -373,26 +371,23 @@ class TestIsClosed:
 class TestEnumerateSubuniverses:
     def test_min_both_singletons(self):
         # {1} is closed too: min(1,1) = 1
-        assert [s.elements for s in enumerate_subuniverses(MIN2, True)] == [(0,), (1,)]
+        assert [s.elements for s in enumerate_subuniverses(MIN2)] == [(0,), (1,)]
 
     def test_z2_only_zero(self):
-        assert [s.elements for s in enumerate_subuniverses(Z2, True)] == [(0,)]
+        assert [s.elements for s in enumerate_subuniverses(Z2)] == [(0,)]
 
-    def test_improper_scan_includes_carrier(self):
+    def test_scan_excludes_carrier(self):
         for table in (MIN2, Z2, TZ2):
-            subs = enumerate_subuniverses(table, False)
-            assert any(len(s.members) == table.size for s in subs)
+            subs = enumerate_subuniverses(table)
+            assert subs and all(s.is_proper() for s in subs)
 
     def test_ascending_mask_order(self):
-        masks = [s.mask for s in enumerate_subuniverses(MIN3, False)]
+        masks = [s.mask for s in enumerate_subuniverses(MIN3)]
         assert masks == sorted(masks)
 
     def test_matches_apply_loop(self, predicate_tables):
         for table in predicate_tables:
-            for proper_only in (True, False):
-                assert enumerate_subuniverses(table, proper_only) == (
-                    naive_enumerate_subuniverses(table, proper_only)
-                ), table
+            assert enumerate_subuniverses(table) == naive_enumerate_subuniverses(table), table
 
 
 class TestIsCommutative:

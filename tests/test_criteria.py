@@ -289,7 +289,7 @@ class TestDerivePowerAlgebra:
             tracemalloc.stop()
         assert peak < 64 * 1024
         assert derive_power_algebra(NaryTable(2, 1, (0,)), 101).entries == (0,)
-        monkeypatch.setattr(absorb.core, "POWER_ALGEBRA_MAX_ENTRIES", 8)
+        monkeypatch.setattr(absorb.core, "BUILD_MAX_VALUES", 8)
         assert len(derive_power_algebra(Z2, 3).entries) == 8
         with pytest.raises(BudgetExceeded):
             derive_power_algebra(Z2, 4)

@@ -136,6 +136,26 @@ class TestExhaustive:
                 next(enumerate_tables(spec))
             assert time.perf_counter() - started < 1.0
 
+    @pytest.mark.parametrize(
+        "mode, power", [("exhaustive", "3^1000000"), ("random", "3^1999999")]
+    )
+    def test_huge_arity_is_refused_without_the_power(self, mode, power):
+        # the message names the power it refuses: the cells of one table, or
+        # the (2n-1)-tuples of one associativity check
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as refused:
+            next(enumerate_tables(GenSpec(3, 10**6, mode=mode, count=1)))
+        assert time.perf_counter() - started < 1.0
+        message = str(refused.value)
+        assert message.startswith(f"{power} ") and len(message) < 200
+
+    def test_canonical_search_checks_its_relabelings(self, monkeypatch):
+        # no free-cell budget admits size 7 today; lifted, the canonical cap decides
+        monkeypatch.setattr(absorb.generate, "MAX_FREE_CELLS", 49)
+        message = "^7 elements in a canonical form exceed the cap of 6$"
+        with pytest.raises(BudgetExceeded, match=message):
+            next(enumerate_tables(GenSpec(7, 2, dedup=True)))
+
 
 class TestPowerMode:
     def test_derives_all_binaries(self):

@@ -320,11 +320,11 @@ class TestRunCorpus:
         assert [l["type"] for l in lines[1:-1]] == [
             kind
             for t in enumerate_tables(GenSpec(2, 2))
-            for kind in ["table"] + ["pair"] * len(list(enumerate_subuniverses(t, True)))
+            for kind in ["table"] + ["pair"] * len(list(enumerate_subuniverses(t)))
         ]
 
     def test_a_table_without_pairs_has_its_table_record(self, tmp_path):
-        assert list(enumerate_subuniverses(ODD_SUM3, proper_only=True)) == []
+        assert list(enumerate_subuniverses(ODD_SUM3)) == []
         out = tmp_path / "report.jsonl"
         report = run_corpus([ODD_SUM3, MIN2, ODD_SUM3], OracleBounds(), str(out))
         assert (report.tables, report.pairs) == (3, 2)
@@ -380,12 +380,12 @@ class TestRunCorpus:
         real = harness.enumerate_subuniverses
         calls = 0
 
-        def killer(table, proper_only):
+        def killer(table):
             nonlocal calls
             calls += 1
             if calls > 5:
                 raise KeyboardInterrupt
-            return real(table, proper_only)
+            return real(table)
 
         monkeypatch.setattr(harness, "enumerate_subuniverses", killer)
         with pytest.raises(KeyboardInterrupt):
@@ -394,7 +394,7 @@ class TestRunCorpus:
         written = out.read_bytes()
         lines = read_report(out)
         done = {tuple(table["table"]) for table, _pair in with_tables(lines)}
-        assert done == {t.entries for t in binary3[:5] if list(real(t, True))}
+        assert done == {t.entries for t in binary3[:5] if list(real(t))}
         # the sixth table's record is written before its subsets are listed
         assert [l["table"] for l in lines if l["type"] == "table"] == [
             list(t.entries) for t in binary3[:6]
@@ -456,7 +456,7 @@ def assert_resumes_anywhere(tmp_path, tables):
 
 class TestResume:
     def test_kill_anywhere_resumes_byte_identically(self, tmp_path):
-        assert list(enumerate_subuniverses(ODD_SUM3, proper_only=True)) == []
+        assert list(enumerate_subuniverses(ODD_SUM3)) == []
         report = assert_resumes_anywhere(tmp_path, RESUME_STREAM)
         assert (report.status, report.tables, report.pairs) == ("consistent", 8, 13)
 
@@ -494,8 +494,8 @@ class TestResume:
 
     def test_table_records_of_other_tables_are_refused(self, tmp_path):
         # LEFT_ZERO has MIN2's subsets: only MIN2's table record tells them apart
-        subsets = [s.elements for s in enumerate_subuniverses(MIN2, proper_only=True)]
-        assert [s.elements for s in enumerate_subuniverses(LEFT_ZERO, True)] == subsets
+        subsets = [s.elements for s in enumerate_subuniverses(MIN2)]
+        assert [s.elements for s in enumerate_subuniverses(LEFT_ZERO)] == subsets
         other = [ODD_SUM3, LEFT_ZERO] + RESUME_STREAM[2:]
         out = tmp_path / "report.jsonl"
         run_corpus(RESUME_STREAM, QUICK, str(out))

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 import absorb.oracle
 from absorb import (
     Agreement,
+    BudgetExceeded,
     CaseTag,
     FailedCondition,
     GenSpec,
@@ -227,6 +230,37 @@ class TestClosure:
     def test_cap_below_the_first_layer(self):
         out = search_absorbing_term(EXP_T, EXP_SUB, OracleBounds(max_len=4))
         assert out == OracleOutcome(None, 0, OracleStop.LENGTH_BOUND)
+
+
+class TestClosureBudget:
+    # 5-ary min over 4 elements with B = {0, 1, 2}: v**4 steps of
+    # v * 3**(v-1) + 4 offsets each, 28,672 at v = 4 and 71.7 M at v = 8
+    MIN5 = NaryTable.from_function(5, 4, min)
+    B3 = Subuniverse(4, frozenset({0, 1, 2}))
+
+    @pytest.mark.parametrize(
+        "table, sub, max_vars",
+        [
+            (MIN5, B3, 8),
+            (NaryTable.from_function(2, 3, min), Subuniverse(3, frozenset({0, 1})), 10**9),
+        ],
+        ids=["v8", "v1e9"],
+    )
+    def test_refused_before_the_plan_is_built(self, table, sub, max_vars):
+        started = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="closure-plan offsets exceed the cap"):
+                search_absorbing_term(table, sub, OracleBounds(max_vars))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - started < 1.0
+        assert peak < 64 * 1024
+
+    def test_within_the_cap_still_searches(self):
+        out = search_absorbing_term(self.MIN5, self.B3, OracleBounds(4))
+        assert out.stop is OracleStop.FOUND
 
 
 class TestBounds:

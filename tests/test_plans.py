@@ -81,10 +81,9 @@ class TestPlansMatchReferences:
         )
         for budget in budgets(monkeypatch):
             for table in tables:
-                for proper_only in (True, False):
-                    assert enumerate_subuniverses(table, proper_only) == (
-                        naive_enumerate_subuniverses(table, proper_only)
-                    ), (budget, table)
+                assert enumerate_subuniverses(table) == (
+                    naive_enumerate_subuniverses(table)
+                ), (budget, table)
                 for sub in all_subsets(table.size):
                     case = (budget, table, sub)
                     assert is_closed(table, sub) == naive_is_closed(table, sub), case
@@ -100,7 +99,7 @@ class TestPlansMatchReferences:
         for budget in budgets(monkeypatch):
             checked = 0
             for table in tables:
-                for sub in enumerate_subuniverses(table, proper_only=True):
+                for sub in enumerate_subuniverses(table):
                     for v in (3, 2, 1):
                         out = search_absorbing_term(table, sub, OracleBounds(v, 5))
                         raw = scan_words(table, sub, v, 5)
@@ -176,7 +175,7 @@ class TestPlanCacheBound:
             # only the carrier is closed under (x + 1) mod 14, so the scan
             # keeps no Subuniverse but the cache's
             cyclic = NaryTable.from_function(2, 14, lambda a, _: (a + 1) % 14)
-            assert len(enumerate_subuniverses(cyclic, proper_only=False)) == 1
+            assert enumerate_subuniverses(cyclic) == []
             for m, n in ((4, 2), (5, 2), (3, 3)):
                 table = NaryTable.from_function(n, m, min)
                 for b, v in itertools.product(range(1, m), range(1, 8)):
