@@ -13,7 +13,6 @@ table whose power lands in a class is its own canonical form.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import warnings
 from dataclasses import dataclass
@@ -126,9 +125,15 @@ def _assoc_instances(size: int, arity: int):
     two sides of one adjacent-bracketing equation, where the outer cell is
     base + inner_value * stride.  Also returns a map cell -> instance ids
     that may read that cell, so a fresh assignment triggers exactly the
-    equations it can complete.
+    equations it can complete.  Refused before it builds when those
+    trigger entries, at most 2m + 2 per instance and (n - 1) instances per
+    (2n - 1)-tuple, would pass BUILD_MAX_VALUES.
     """
     m, n = size, arity
+    tuples = _power(m, 2 * n - 1, BUILD_MAX_VALUES)
+    _require_within(tuples, "tuples per associativity check", BUILD_MAX_VALUES)
+    entries = (n - 1) * tuples * (2 * m + 2)
+    _require_within(entries, "associativity trigger entries", BUILD_MAX_VALUES)
     pw = [m ** (n - 1 - j) for j in range(n)]
     instances: list[tuple[int, int, int, int, int, int]] = []
     triggers: list[set[int]] = [set() for _ in range(m**n)]
@@ -167,6 +172,19 @@ def _assoc_instances(size: int, arity: int):
     return instances, [sorted(t) for t in triggers]
 
 
+def _multisets(size: int, arity: int, cap: int) -> int | str:
+    """comb(size + arity - 1, arity), the arity-element multisets over size
+    elements, when it is at most cap, else its text.  It is the last of the
+    products comb(arity + i, i), i < size, which grow with i, so it stops at
+    the first past cap and never builds a huge count."""
+    count = 1
+    for i in range(1, size):
+        count = count * (arity + i) // i
+        if count > cap:
+            return f"comb({size + arity - 1}, {arity})"
+    return count
+
+
 def _backtrack_tables(
     size: int, arity: int, idempotent: bool, commutative: bool, canonical: bool = False
 ) -> Iterator[NaryTable]:
@@ -191,15 +209,15 @@ def _backtrack_tables(
     """
     # The unit count of _cell_units, before it builds one cell per n-tuple:
     # commutativity leaves one unit per multiset, idempotence pins m of them.
-    cell_count = _power(size, arity, BUILD_MAX_VALUES)
-    free = math.comb(size + arity - 1, arity) if commutative else cell_count
+    cap = BUILD_MAX_VALUES
+    free = _multisets(size, arity, cap) if commutative else _power(size, arity, cap)
     if idempotent and type(free) is int:
         free -= size
     _require_within(free, "free cells", MAX_FREE_CELLS)
     if canonical:
         _require_within(size, "elements in a canonical form", CANONICAL_PERM_MAX_SIZE)
+    instances, triggers = _assoc_instances(size, arity)  # first: it bounds m**n too
     units, forced = _cell_units(size, arity, idempotent, commutative)
-    instances, triggers = _assoc_instances(size, arity)
     cells: list[int | None] = [None] * (size**arity)
     for c, v in forced.items():
         cells[c] = v

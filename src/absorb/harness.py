@@ -11,17 +11,31 @@ subset into those bytes; the lines are those of to_record, byte for byte.
 The report is its own checkpoint: a table record gives the table, each
 pair record its subset, so an interrupted run resumes from the report
 alone and comes out byte-identical.
+
+run_corpus reads its stream in chunks of CORPUS_CHUNK_TABLES tables, and
+one chunk runner writes a chunk's lines and tallies them.  A stream of at
+most two chunks runs in-process.  A longer one, on a platform with fork
+and called from a process that runs no other thread, is checked on every
+CPU: the helpers module forks one helper per usable CPU (none on a single
+CPU, and no more than the chunks there are), each its own process with
+its own memory and caches, sends each one chunk at a time over a pipe,
+and writes their lines in stream order.  The report is the same bytes
+either way, also when a fatal pair or an exception cuts the run short,
+and no helper outlives run_corpus.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
+import os
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .core import (
     NaryTable,
@@ -252,6 +266,17 @@ class CorpusReport:
                 }
             )
 
+    def merge(self, other: "CorpusReport") -> None:
+        """Tally other's records as if they followed these in the report."""
+        self.tables += other.tables
+        self.pairs += other.pairs
+        for key, count in other.agreements.items():
+            self.agreements[key] += count
+        for key, count in other.cases.items():
+            self.cases[key] += count
+        self.counterexamples += other.counterexamples
+        self.last_table = other.last_table or self.last_table
+
     def summary_record(self) -> dict:
         return {
             "type": "summary",
@@ -463,6 +488,89 @@ def _records(
             yield record, head + ",".join(map(str, sub.elements)).encode() + tail
 
 
+# run_corpus reads its table stream in chunks of this many tables, each run
+# by one call of _run_chunk, in-process or in a helper.
+CORPUS_CHUNK_TABLES = 64
+
+
+def _chunks(stream: Iterator[NaryTable]) -> Iterator[tuple[list[NaryTable], Exception | None]]:
+    """Each chunk of the stream, with the exception that ended the stream
+    after the chunk's tables, if one did."""
+    while True:
+        tables = []
+        try:
+            for table in itertools.islice(stream, CORPUS_CHUNK_TABLES):
+                tables.append(table)
+        except Exception as exc:
+            yield tables, exc
+            return
+        if not tables:
+            return
+        yield tables, None
+
+
+def _run_chunk(
+    tables: list[NaryTable], bounds: OracleBounds, memo: dict, write: Callable[[bytes], object]
+) -> tuple[CorpusReport, BaseException | None]:
+    """Write the lines of a chunk's records with write, and return their
+    tally and the exception that cut the chunk short after those lines, if
+    one did; the caller raises it."""
+    tally = CorpusReport()
+    try:
+        for record, line in _records(tables, bounds, memo):
+            write(line)
+            tally.add_record(record)
+    except BaseException as exc:
+        return tally, exc
+    return tally, None
+
+
+def _helper_count() -> int:
+    """The helpers a long stream is run with: one per usable CPU; none on a
+    single CPU, without fork, or in a process that runs other threads,
+    where a fork is unsafe (the child gets only the calling thread)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return cpus if cpus > 1 else 0
+
+
+def _write_chunks(
+    stream: Iterator[NaryTable], bounds: OracleBounds, out: BinaryIO, report: CorpusReport
+) -> None:
+    """Write the lines of every chunk of the stream to out in stream order
+    and tally them into report, until a fatal pair; then raise the exception
+    that cut a chunk short, if one did, as a serial run would."""
+    chunks = _chunks(stream)
+    cpus = _helper_count()
+    # Forking costs more than it saves on a stream of at most two chunks,
+    # and a helper beyond the stream's chunks would get none.
+    ahead = list(itertools.islice(chunks, max(3, cpus)))
+    helpers = min(cpus, len(ahead)) if len(ahead) > 2 else 0
+    chunks = itertools.chain(ahead, chunks)
+    if helpers:
+        from .helpers import helper_results  # imported only where a run forks
+
+        results = helper_results(chunks, bounds, helpers, out)
+    else:
+        memo: dict = {}
+        results = (
+            (*_run_chunk(tables, bounds, memo, out.write), error) for tables, error in chunks
+        )
+    with contextlib.closing(results):
+        for tally, exc, error in results:
+            report.merge(tally)
+            if tally.status == STATUS_FAILED:
+                return
+            if exc is not None:
+                raise exc
+            if error is not None:
+                raise error
+
+
 def run_corpus(
     tables: Iterable[NaryTable],
     bounds: OracleBounds,
@@ -490,9 +598,7 @@ def run_corpus(
         if pending is None:
             out.write(header_bytes)
             pending = stream
-        for record, line in _records(pending, bounds, {}):
-            out.write(line)
-            report.add_record(record)
+        _write_chunks(pending, bounds, out, report)
         out.write(_dump(report.summary_record()))
 
     report.wall_time = time.perf_counter() - started

@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import random
+import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -155,6 +157,46 @@ class TestExhaustive:
         message = "^7 elements in a canonical form exceed the cap of 6$"
         with pytest.raises(BudgetExceeded, match=message):
             next(enumerate_tables(GenSpec(7, 2, dedup=True)))
+
+    def test_huge_commutative_unit_count_is_refused_without_the_count(self):
+        # comb(19999, 10000) has over 6,000 digits, too many to format
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as refused:
+            next(enumerate_tables(GenSpec(10**4, 10**4, commutative=True)))
+        assert time.perf_counter() - started < 1.0
+        message = str(refused.value)
+        assert message == "comb(19999, 10000) free cells exceed the cap of 16"
+
+    @pytest.mark.parametrize(
+        "arity, message",
+        [
+            (15, "2^29 tuples per associativity check exceed the cap of 4194304"),
+            (9, "6291456 associativity trigger entries exceed the cap of 4194304"),
+        ],
+    )
+    def test_associativity_instances_are_counted_before_they_are_built(self, arity, message):
+        # commutative size 2 has arity + 1 free cells, within MAX_FREE_CELLS
+        # up to arity 15, but (n - 1) * 2^(2n - 1) instances
+        def refuse():
+            with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
+                next(enumerate_tables(GenSpec(2, arity, commutative=True)))
+
+        started = time.perf_counter()
+        refuse()
+        assert time.perf_counter() - started < 1.0
+        tracemalloc.start()
+        try:
+            refuse()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_largest_commutative_size2_arity_within_budget(self):
+        # 7 * 2^15 instances and 6 trigger entries each: 1,376,256 entries
+        tables = list(enumerate_tables(GenSpec(2, 8, commutative=True)))
+        assert len(tables) == 6
+        assert all(is_associative(t) and is_commutative(t) for t in tables)
 
 
 class TestPowerMode:

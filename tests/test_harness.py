@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import sys
+import threading
 
 import pytest
 
@@ -15,6 +16,7 @@ from absorb import (
     CorpusReport,
     GenSpec,
     NaryTable,
+    NotAssociative,
     OracleBounds,
     OracleStop,
     PreconditionsUnmet,
@@ -614,6 +616,159 @@ class TestRunStatus:
             "criterion absorbs but oracle found nothing within adequate bounds"
         ]
         assert lines[-1]["status"] == "failed"
+
+
+# binary a-b mod 3, not associative
+NONASSOC3 = NaryTable.from_function(2, 3, lambda a, b: (a - b) % 3)
+# the table at which watched() counts the helpers: past the first three
+# chunks the run reads before it forks, also when it resumes after table 40
+WATCH_AT = 300
+
+
+def watched(tables, forks, seen, interrupt=False):
+    """tables, noting in seen how many helpers were forked when table
+    WATCH_AT is pulled, or raising KeyboardInterrupt there with interrupt."""
+    for i, table in enumerate(tables):
+        if i == WATCH_AT:
+            seen.append(len(forks))
+            if interrupt:
+                raise KeyboardInterrupt
+        yield table
+
+
+class BrokenStream:
+    """Iterates over tables, then raises ValueError."""
+
+    def __init__(self, tables):
+        self.tables = tables
+
+    def __iter__(self):
+        yield from self.tables
+        raise ValueError("the stream broke")
+
+
+class TestHelpers:
+    """A stream longer than two chunks runs in forked helpers; the run must
+    write what a serial run writes, also when cut short."""
+
+    @pytest.fixture(autouse=True)
+    def forks(self, monkeypatch):
+        """The pids of the helpers forked in a test; the run that forked
+        them must have reaped them all."""
+        pids = []
+        fork = os.fork
+
+        def recorded_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        yield pids
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    @pytest.fixture
+    def stream(self, binary3):
+        tables = binary3 * 3
+        assert len(tables) > WATCH_AT >= 41 + 3 * absorb.harness.CORPUS_CHUNK_TABLES
+        return tables
+
+    def run(self, monkeypatch, forks, helpers, tables, path, **kwargs):
+        """run_corpus with helpers forced on or off; returns (report or the
+        exception it raised, report bytes, helpers forked by table WATCH_AT)."""
+        monkeypatch.setattr(absorb.harness, "_helper_count", lambda: helpers)
+        before = len(forks)
+        seen = []
+        try:
+            result = run_corpus(watched(tables, forks, seen), QUICK, str(path), **kwargs)
+        except (Exception, KeyboardInterrupt) as exc:
+            result = exc
+        return result, path.read_bytes(), [n - before for n in seen]
+
+    def both(self, monkeypatch, forks, tmp_path, tables):
+        serial = self.run(monkeypatch, forks, 0, tables, tmp_path / "serial.jsonl")
+        forked = self.run(monkeypatch, forks, 2, tables, tmp_path / "forked.jsonl")
+        assert serial[1] == forked[1]
+        assert (serial[2], forked[2]) == ([0], [2])
+        return serial[0], forked[0]
+
+    def test_same_report_as_serial(self, tmp_path, monkeypatch, forks, stream):
+        serial, forked = self.both(monkeypatch, forks, tmp_path, stream)
+        assert (forked.status, forked.tables, forked.pairs) == ("consistent", 339, 3 * 465)
+        serial.wall_time = forked.wall_time = 0.0
+        assert forked == serial
+
+    def test_fatal_pair_in_a_helper_chunk(self, tmp_path, monkeypatch, forks, stream):
+        # MIN2, a table of no other chunk, absorbs on {0}
+        flip_to_disagree(monkeypatch, lambda r: r.table == MIN2 and r.verdict.absorbs)
+        tables = stream[:310] + [MIN2] + stream[310:]
+        serial, forked = self.both(monkeypatch, forks, tmp_path, tables)
+        assert (forked.status, forked.tables, forked.counterexamples[0]["sub"]) == ("failed", 311, [0])
+        serial.wall_time = forked.wall_time = 0.0
+        assert forked == serial
+
+    @pytest.mark.parametrize("cut_by", [NotAssociative, ValueError])
+    def test_exception_in_a_helper_chunk(self, tmp_path, monkeypatch, forks, stream, cut_by):
+        # a non-associative table in a chunk, or a stream that breaks after
+        # table 310, raises after the lines before it
+        if cut_by is NotAssociative:
+            tables = stream[:310] + [NONASSOC3] + stream[310:]
+        else:
+            tables = BrokenStream(stream[:310])
+        serial, forked = self.both(monkeypatch, forks, tmp_path, tables)
+        assert type(serial) is type(forked) is cut_by
+        assert str(forked) == str(serial)
+        assert (tmp_path / "forked.jsonl").read_bytes().count(b'"type":"table"') == 310
+
+    def test_resume_of_a_report_cut_in_a_helper_chunk(self, tmp_path, monkeypatch, forks, stream):
+        full, body, _ = self.run(monkeypatch, forks, 2, stream, tmp_path / "clean.jsonl")
+        lines = body.splitlines(keepends=True)
+        table_lines = [i for i, line in enumerate(lines) if line.startswith(b'{"arity"')]
+        cut = len(b"".join(lines[: table_lines[40] + 1])) - 10  # inside table 40's record
+        out = tmp_path / "cut.jsonl"
+        out.write_bytes(body[:cut])
+        resumed, data, seen = self.run(monkeypatch, forks, 2, stream, out, resume=True)
+        assert data == body and seen == [2]
+        assert resumed.summary_record() == full.summary_record()
+
+    def test_no_more_helpers_than_chunks(self, tmp_path, monkeypatch, forks, binary3):
+        # 226 tables are four chunks: eight usable CPUs fork four helpers
+        monkeypatch.setattr(absorb.harness, "_helper_count", lambda: 8)
+        report = run_corpus(binary3 * 2, QUICK, str(tmp_path / "report.jsonl"))
+        assert (len(forks), report.tables) == (4, 226)
+
+    def test_no_helpers_on_one_cpu_without_fork_or_beside_other_threads(self, monkeypatch):
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert absorb.harness._helper_count() == (cpus if cpus > 1 else 0)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert absorb.harness._helper_count() == 0
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        monkeypatch.delattr(os, "fork")
+        assert absorb.harness._helper_count() == 0
+
+    def test_interrupt_in_the_parent_stops_the_helpers(self, tmp_path, monkeypatch, forks, stream):
+        monkeypatch.setattr(absorb.harness, "_helper_count", lambda: 2)
+        seen = []
+        out = tmp_path / "report.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            run_corpus(watched(stream, forks, seen, interrupt=True), QUICK, str(out))
+        assert seen == [2]
+        # what was written is a prefix of the full report, so it resumes
+        monkeypatch.setattr(absorb.harness, "_helper_count", lambda: 0)
+        clean = tmp_path / "clean.jsonl"
+        run_corpus(stream, QUICK, str(clean))
+        assert clean.read_bytes().startswith(out.read_bytes())
 
 
 def assert_lines_from_builder(path, bounds):
