@@ -24,9 +24,14 @@ def save_algebra(path: str, table: NaryTable, labels: list[str] | None = None) -
     doc: dict = {"arity": table.arity, "size": table.size, "table": list(table.entries)}
     if labels is not None:
         doc["labels"] = list(labels)
+    _write_json(path, doc)
+
+
+def _write_json(path: str, doc: dict) -> None:
+    """doc as one line of sorted-key JSON, in one write: json.dump would
+    stream it to the file in many small writes."""
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _load_object(path: str) -> dict:
@@ -58,9 +63,7 @@ def load_algebra(path: str) -> tuple[NaryTable, list[str] | None]:
 
 
 def save_subuniverse(path: str, sub: Subuniverse) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump({"elements": list(sub.elements)}, f, sort_keys=True)
-        f.write("\n")
+    _write_json(path, {"elements": list(sub.elements)})
 
 
 def load_subuniverse(path: str, carrier_size: int) -> Subuniverse:

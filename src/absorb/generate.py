@@ -2,9 +2,13 @@
 power-derived families, seeded random sampling, and canonical forms.
 
 Exhaustive mode yields tables in ascending lexicographic order of their
-entries.  With dedup it prunes, during the search, every table that is not
-its own canonical form; by that order, these are exactly the tables that
-deduplicating the full stream would keep, in the same order.  Power and
+entries.  It branches on the free cells in order and propagates each value
+through the associativity equations: an equation whose inner values are
+known forces its unknown outer cell, or fails the branch, and every value
+assigned or forced goes on a trail that backtracking pops.  With dedup it
+prunes, during the search, every table that is not its own canonical
+form; by that order, these are exactly the tables that deduplicating the
+full stream would keep, in the same order.  Power and
 random streams are deduplicated by canonical bytes; a deduplicated power
 stream derives from the canonical binary tables only, as the first binary
 table whose power lands in a class is its own canonical form.
@@ -45,6 +49,11 @@ MAX_FREE_CELLS = 16
 GENERATOR_NAME = "mt19937"
 
 MODES = ("exhaustive", "power", "random")
+
+# One associativity equation of the exhaustive search: (inner cell, outer
+# row, inner cell, outer row), the sides f(.., inner value, ..) of two
+# adjacent bracketings; see _assoc_equations.
+Equation = tuple[int, tuple[int, ...], int, tuple[int, ...]]
 
 # Sampling budget: (2n-1)-tuples that all draws of one stream may read
 # together; one draw's associativity check builds a list of m**(2n-1)
@@ -118,58 +127,52 @@ def _cell_units(
     return units, forced
 
 
-def _assoc_instances(size: int, arity: int):
-    """Associativity equations in incremental-check form.
+def _assoc_equations(size: int, arity: int, rep: list[int]) -> list[list[Equation]]:
+    """The associativity equations over the fill units, listed under each
+    of their inner cells.
 
-    Each instance is (innerL, baseL, strideL, innerR, baseR, strideR): the
-    two sides of one adjacent-bracketing equation, where the outer cell is
-    base + inner_value * stride.  Also returns a map cell -> instance ids
-    that may read that cell, so a fresh assignment triggers exactly the
-    equations it can complete.  Refused before it builds when those
-    trigger entries, at most 2m + 2 per instance and (n - 1) instances per
-    (2n - 1)-tuple, would pass BUILD_MAX_VALUES.
+    The equations of one (2n-1)-tuple equate the brackets at adjacent
+    windows p and p + 1: f(.., f(window p), ..) = f(.., f(window p+1), ..);
+    for n = 2, f(x, c) = f(a, y) with x = f(a, b) and y = f(b, c).  Each side
+    is its inner cell and its row of outer cells: inner value v reads the
+    outer cell row[v].  Every cell is named by rep, the first cell of its
+    unit, so equations that coincide on units are kept once, and one whose
+    sides coincide is dropped.  The sides come from each tuple's index by
+    arithmetic, and each distinct one is built once.
     """
     m, n = size, arity
-    tuples = _power(m, 2 * n - 1, BUILD_MAX_VALUES)
-    _require_within(tuples, "tuples per associativity check", BUILD_MAX_VALUES)
-    entries = (n - 1) * tuples * (2 * m + 2)
-    _require_within(entries, "associativity trigger entries", BUILD_MAX_VALUES)
-    pw = [m ** (n - 1 - j) for j in range(n)]
-    instances: list[tuple[int, int, int, int, int, int]] = []
-    triggers: list[set[int]] = [set() for _ in range(m**n)]
+    cells = m**n
+    low = [m ** (n - 1 - p) for p in range(n)]  # the weight of window p's last digit
+    high = [w * cells for w in low]  # the weight of the digit before window p
+    rows: dict[tuple[int, ...], int] = {}  # interned rows of outer cells
+    row_of: list[dict[int, int]] = [{} for _ in range(n)]  # window p: base -> row id
+    for p in range(n):
+        for base in range(cells):
+            if base // low[p] % m == 0:  # the outer cell of value 0
+                row = tuple(rep[base + v * low[p]] for v in range(m))
+                row_of[p][base] = rows.setdefault(row, len(rows))
+    width = len(rows)
 
-    def inner_cell(tup, q):
-        idx = 0
-        for a in tup[q : q + n]:
-            idx = idx * m + a
-        return idx
+    def sides(p: int) -> list[int]:
+        """Side p of every tuple, as rep(inner cell) * width + row id."""
+        lo, hi, lift, ids = low[p], high[p], m ** (n - p), row_of[p]
+        return [
+            rep[t // lo % cells] * width + ids[t // hi * lift + t % lo]
+            for t in range(m ** (2 * n - 1))
+        ]
 
-    def outer_base(tup, q):
-        base = 0
-        for t in range(n):
-            if t < q:
-                base += tup[t] * pw[t]
-            elif t > q:
-                base += tup[n + t - 1] * pw[t]
-        return base
-
-    for tup in itertools.product(range(m), repeat=2 * n - 1):
-        for p in range(n - 1):
-            iL = inner_cell(tup, p)
-            bL = outer_base(tup, p)
-            sL = pw[p]
-            iR = inner_cell(tup, p + 1)
-            bR = outer_base(tup, p + 1)
-            sR = pw[p + 1]
-            ii = len(instances)
-            instances.append((iL, bL, sL, iR, bR, sR))
-            triggers[iL].add(ii)
-            triggers[iR].add(ii)
-            for v in range(m):
-                triggers[bL + v * sL].add(ii)
-                triggers[bR + v * sR].add(ii)
-
-    return instances, [sorted(t) for t in triggers]
+    keys: set[tuple[int, int]] = set()
+    right = sides(0)
+    for p in range(n - 1):
+        left, right = right, sides(p + 1)
+        keys.update((a, b) if a < b else (b, a) for a, b in zip(left, right) if a != b)
+    row_list = list(rows)
+    watch: list[list[Equation]] = [[] for _ in range(cells)]
+    for a, b in sorted(keys):
+        eq = (a // width, row_list[a % width], b // width, row_list[b % width])
+        for c in {eq[0], eq[2]}:
+            watch[c].append(eq)
+    return watch
 
 
 def _multisets(size: int, arity: int, cap: int) -> int | str:
@@ -192,11 +195,25 @@ def _backtrack_tables(
     ascending lexicographic order of their entries; with canonical, only
     those equal to their canonical_form, in the same order.
 
-    Cells are filled in row-major order (grouped into orbit units when the
-    commutative filter is on) and a partial table is pruned as soon as any
-    fully-determined associativity instance fails.  The order is ascending
-    because units are ordered by their first cell: two tables first differ
-    at the first cell of the first unit where they differ.
+    The search branches on the units in order, each value from 0 up, and
+    propagates every assignment (after Distler's semigroup enumeration):
+    - An assigned unit goes on a trail, which is also the propagation
+      queue.  Every cell is named by its unit's first cell.
+    - An equation is read when one of its two inner cells leaves the queue.
+      Once both inner values are known, it equates two outer cells.  If one
+      is known, the other is forced to its value and joins the trail; if
+      both are known and differ, the branch fails.  If neither is known,
+      the two are linked, and a link forces or fails in the same way when
+      one of its ends leaves the queue.
+    - Backtracking pops the trail and the links back to where the branch
+      began.  A unit that propagation has filled is passed over without
+      branching.
+    Each equation is checked once its cells are known, and a forced value
+    is the only one that any completion can hold, so propagation keeps
+    every associative table and the stream is the one a check-only search
+    gives.  The order is ascending because units are ordered by their first
+    cell: two tables first differ at the first cell of the first unit where
+    they differ.
 
     The order is what makes the canonical search equal to deduplicating the
     full stream: both filters are invariant under relabeling, so the first
@@ -205,7 +222,9 @@ def _backtrack_tables(
     relabelings that may still beat the partial table, each with the first
     position where it is not yet known to tie, and prunes as soon as one of
     them beats it on an assigned prefix (Distler's lex-leader symmetry
-    breaking).
+    breaking).  Its positions are the first cells of the units: a
+    relabeled commutative table is commutative, so the other cells of a
+    unit tie where its first cell ties.
     """
     # The unit count of _cell_units, before it builds one cell per n-tuple:
     # commutativity leaves one unit per multiset, idempotence pins m of them.
@@ -216,53 +235,89 @@ def _backtrack_tables(
     _require_within(free, "free cells", MAX_FREE_CELLS)
     if canonical:
         _require_within(size, "elements in a canonical form", CANONICAL_PERM_MAX_SIZE)
-    instances, triggers = _assoc_instances(size, arity)  # first: it bounds m**n too
+    # At most (n - 1) * m**(2n - 1) equations of 2m + 2 cells each; the
+    # tuple count bounds m**n too.
+    tuples = _power(size, 2 * arity - 1, cap)
+    _require_within(tuples, "tuples per associativity check", cap)
+    entries = (arity - 1) * tuples * (2 * size + 2)
+    _require_within(entries, "associativity trigger entries", cap)
     units, forced = _cell_units(size, arity, idempotent, commutative)
-    cells: list[int | None] = [None] * (size**arity)
-    for c, v in forced.items():
-        cells[c] = v
+    top = size**arity
+    rep = list(range(top))
+    for unit in units:
+        for c in unit:
+            rep[c] = unit[0]
+    watch = _assoc_equations(size, arity, rep)
+    firsts = [unit[0] for unit in units]
+    vals: list[int | None] = [None] * top  # by the first cell of each unit
+    trail: list[int] = []
+    links: list[list[int]] = [[] for _ in range(top)]  # cells each cell must equal
+    linked: list[int] = []  # the ends of each link, in the order they were made
 
-    def cell_consistent(c: int) -> bool:
-        for ii in triggers[c]:
-            iL, bL, sL, iR, bR, sR = instances[ii]
-            v = cells[iL]
-            if v is None:
-                continue
-            vL = cells[bL + v * sL]
-            if vL is None:
-                continue
-            v = cells[iR]
-            if v is None:
-                continue
-            vR = cells[bR + v * sR]
-            if vR is None:
-                continue
-            if vL != vR:
-                return False
+    def propagate(head: int) -> bool:
+        """Propagate the trail from head on; False on a conflict."""
+        while head < len(trail):
+            c = trail[head]
+            for inner_l, row_l, inner_r, row_r in watch[c]:
+                a = vals[inner_l]
+                if a is None:
+                    continue
+                b = vals[inner_r]
+                if b is None:
+                    continue
+                out_l, out_r = row_l[a], row_r[b]
+                x, y = vals[out_l], vals[out_r]
+                if x is None:
+                    if y is not None:
+                        vals[out_l] = y
+                        trail.append(out_l)
+                    elif out_l != out_r:
+                        links[out_l].append(out_r)
+                        links[out_r].append(out_l)
+                        linked.extend((out_l, out_r))
+                elif y is None:
+                    vals[out_r] = x
+                    trail.append(out_r)
+                elif x != y:
+                    return False
+            x = vals[c]
+            for d in links[c]:
+                y = vals[d]
+                if y is None:
+                    vals[d] = x
+                    trail.append(d)
+                elif y != x:
+                    return False
+            head += 1
         return True
 
-    if not all(cell_consistent(c) for c in forced):
-        return
+    def undo(mark: int, link_mark: int) -> None:
+        while len(trail) > mark:
+            vals[trail.pop()] = None
+        while len(linked) > link_mark:
+            links[linked.pop()].pop()
 
-    top = len(cells)
-    Live = list[tuple[tuple[int, ...], list[int], int]]
+    Live = list[tuple[tuple[int, ...], list[tuple[int, int]], int]]
     live: Live = []
     if canonical:
-        perms = itertools.islice(itertools.permutations(range(size)), 1, None)
-        live = [(perm, _relabeling_sources(size, arity, perm), 0) for perm in perms]
+        positions = sorted(set(rep))
+        for perm in itertools.islice(itertools.permutations(range(size)), 1, None):
+            sources = _relabeling_sources(size, arity, perm)
+            live.append((perm, [(j, rep[sources[j]]) for j in positions], 0))
 
     def unbeaten(live: Live) -> Live | None:
         """The relabelings that may still beat the partial table, or None
         when one already does.  Position j of a relabeling holds
-        perm[cells[sources[j]]]; ties before its start position hold for the
-        whole subtree, and a relabeling that ties a complete table is an
+        perm[vals[rep[sources[j]]]]; ties before its start position hold for
+        the whole subtree, and a relabeling that ties a complete table is an
         automorphism and drops out."""
         kept = []
-        for perm, sources, start in live:
-            for j in range(start, top):
-                mine, theirs = cells[j], cells[sources[j]]
+        for perm, pairs, start in live:
+            for k in range(start, len(pairs)):
+                j, source = pairs[k]
+                mine, theirs = vals[j], vals[source]
                 if mine is None or theirs is None:
-                    kept.append((perm, sources, j))
+                    kept.append((perm, pairs, k))
                     break
                 if perm[theirs] != mine:
                     if perm[theirs] < mine:
@@ -271,21 +326,27 @@ def _backtrack_tables(
         return kept
 
     def rec(u: int, live: Live) -> Iterator[NaryTable]:
-        if u == len(units):
-            yield NaryTable(arity, size, tuple(cells))
+        while u < len(firsts) and vals[firsts[u]] is not None:
+            u += 1
+        if u == len(firsts):
+            yield NaryTable(arity, size, tuple([vals[r] for r in rep]))
             return
-        unit = units[u]
+        c = firsts[u]
+        mark, link_mark = len(trail), len(linked)
         for v in range(size):
-            for c in unit:
-                cells[c] = v
-            if all(cell_consistent(c) for c in unit):
+            vals[c] = v
+            trail.append(c)
+            if propagate(mark):
                 survivors = unbeaten(live) if live else live
                 if survivors is not None:
                     yield from rec(u + 1, survivors)
-        for c in unit:
-            cells[c] = None
+            undo(mark, link_mark)
 
-    yield from rec(0, live)
+    for c, v in forced.items():
+        vals[c] = v
+        trail.append(c)
+    if propagate(0):
+        yield from rec(0, live)
 
 
 def random_filtered(

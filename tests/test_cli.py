@@ -66,6 +66,24 @@ class TestFileFormats:
         save_subuniverse(str(p), Subuniverse(3, frozenset({2, 0})))
         assert load_subuniverse(str(p), 3).elements == (0, 2)
 
+    def test_files_hold_the_bytes_of_json_dump(self, tmp_path):
+        # each file is written in one piece, as json.dump would stream it
+        def dumped(doc):
+            p = tmp_path / "dumped.json"
+            with open(p, "w", encoding="utf-8") as f:
+                json.dump(doc, f, sort_keys=True)
+                f.write("\n")
+            return p.read_bytes()
+
+        p = tmp_path / "t.json"
+        save_algebra(str(p), TZ2, labels=["e", "a"])
+        doc = {"arity": 3, "size": 2, "table": list(TZ2.entries), "labels": ["e", "a"]}
+        assert p.read_bytes() == dumped(doc)
+        save_algebra(str(p), MIN2)
+        assert p.read_bytes() == dumped({"arity": 2, "size": 2, "table": [0, 0, 0, 1]})
+        save_subuniverse(str(p), Subuniverse(3, frozenset({2, 0})))
+        assert p.read_bytes() == dumped({"elements": [0, 2]})
+
     def test_corpus_dir_roundtrip(self, tmp_path):
         spec = GenSpec(2, 2)
         meta = write_corpus_dir(str(tmp_path / "c"), spec, [MIN2, Z2])

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import re
 import time
@@ -23,6 +24,7 @@ from absorb import (
     is_idempotent,
     random_filtered,
 )
+from absorb.core import _relabeling_sources
 from absorb.generate import MAX_FREE_CELLS, _cell_units, _dedup_canonical
 from conftest import LEFT_ZERO, MIN2, TZ2, Z2, enumerate_pairs
 from test_core import ASSOC_BINARY2, ASSOC_TERNARY2, naive_associative
@@ -46,6 +48,117 @@ def naive_canonical_form(table):
         if best is None or candidate < best:
             best = candidate
     return NaryTable(n, m, best)
+
+
+def reference_instances(size, arity):
+    """Every adjacent-bracketing instance of the (2n-1)-tuples, as
+    (innerL, baseL, strideL, innerR, baseR, strideR) with the outer cell at
+    base + inner_value * stride, and for each cell the instances that may
+    read it."""
+    m, n = size, arity
+    pw = [m ** (n - 1 - j) for j in range(n)]
+    instances = []
+    triggers = [set() for _ in range(m**n)]
+
+    def inner_cell(tup, q):
+        idx = 0
+        for a in tup[q : q + n]:
+            idx = idx * m + a
+        return idx
+
+    def outer_base(tup, q):
+        base = 0
+        for t in range(n):
+            if t < q:
+                base += tup[t] * pw[t]
+            elif t > q:
+                base += tup[n + t - 1] * pw[t]
+        return base
+
+    for tup in itertools.product(range(m), repeat=2 * n - 1):
+        for p in range(n - 1):
+            instance = (
+                inner_cell(tup, p), outer_base(tup, p), pw[p],
+                inner_cell(tup, p + 1), outer_base(tup, p + 1), pw[p + 1],
+            )
+            iL, bL, sL, iR, bR, sR = instance
+            triggers[iL].add(len(instances))
+            triggers[iR].add(len(instances))
+            for v in range(m):
+                triggers[bL + v * sL].add(len(instances))
+                triggers[bR + v * sR].add(len(instances))
+            instances.append(instance)
+    return instances, [sorted(t) for t in triggers]
+
+
+def reference_tables(size, arity, idempotent, commutative, canonical, instances):
+    """Reference for the exhaustive search: fill the units in row-major
+    order, every value from 0 up, and only check each instance once its
+    cells are known, with no propagation; with canonical, prune by the
+    lex-leader check over every cell.  instances are the
+    reference_instances of the shape."""
+    instances, triggers = instances
+    units, forced = _cell_units(size, arity, idempotent, commutative)
+    cells = [None] * size**arity
+    for c, v in forced.items():
+        cells[c] = v
+
+    def consistent(c):
+        for ii in triggers[c]:
+            iL, bL, sL, iR, bR, sR = instances[ii]
+            v = cells[iL]
+            if v is None:
+                continue
+            vL = cells[bL + v * sL]
+            if vL is None:
+                continue
+            v = cells[iR]
+            if v is None:
+                continue
+            vR = cells[bR + v * sR]
+            if vR is not None and vL != vR:
+                return False
+        return True
+
+    def beaten():
+        for perm, sources in relabelings:
+            for j, mine in enumerate(cells):
+                theirs = cells[sources[j]]
+                if mine is None or theirs is None or perm[theirs] > mine:
+                    break
+                if perm[theirs] < mine:
+                    return True
+        return False
+
+    perms = list(itertools.permutations(range(size)))[1:] if canonical else []
+    relabelings = [(perm, _relabeling_sources(size, arity, perm)) for perm in perms]
+
+    def rec(u):
+        if u == len(units):
+            yield NaryTable(arity, size, tuple(cells))
+            return
+        for v in range(size):
+            for c in units[u]:
+                cells[c] = v
+            if all(consistent(c) for c in units[u]) and not beaten():
+                yield from rec(u + 1)
+        for c in units[u]:
+            cells[c] = None
+
+    if all(consistent(c) for c in forced):
+        yield from rec(0)
+
+
+def automorphisms(table):
+    """The relabelings of table that give it back, by brute force."""
+    m, n = table.size, table.arity
+    count = 0
+    for perm in itertools.permutations(range(m)):
+        count += all(
+            perm[table.apply(*tup)] == table.apply(*(perm[a] for a in tup))
+            for tup in itertools.product(range(m), repeat=n)
+        )
+    return count
 
 
 class TestGenSpec:
@@ -405,6 +518,66 @@ class TestCanonicalSearch:
         for spec, labeled in self.labeled_streams(commutative5):
             entries = [t.entries for t in labeled]
             assert all(a < b for a, b in zip(entries, entries[1:])), spec
+
+
+class TestPropagation:
+    """The search fills forced cells by propagation and branches on the
+    rest; it must yield the reference stream, table for table."""
+
+    SHAPES = [(m, 2) for m in range(1, 6)] + [(2, 3), (2, 4)]
+    COMMUTATIVE_SHAPES = [(3, 3), (2, 8)]
+
+    @staticmethod
+    def specs():
+        """Every shape and filter combination above, with and without dedup,
+        that the budget admits."""
+        flags = list(itertools.product((False, True), repeat=3))
+        for (m, n), (idempotent, commutative, dedup) in itertools.product(
+            TestPropagation.SHAPES + TestPropagation.COMMUTATIVE_SHAPES, flags
+        ):
+            if commutative or (m, n) in TestPropagation.SHAPES:
+                yield GenSpec(m, n, idempotent=idempotent, commutative=commutative, dedup=dedup)
+
+    def test_equals_reference_stream(self):
+        refused = []
+        for (m, n), specs in itertools.groupby(self.specs(), lambda s: (s.size, s.arity)):
+            instances = reference_instances(m, n)  # once per shape
+            for spec in specs:
+                try:
+                    stream = list(enumerate_tables(spec))
+                except BudgetExceeded:
+                    refused.append((m, n, spec.idempotent, spec.commutative))
+                    continue
+                flags = (spec.idempotent, spec.commutative, spec.dedup)
+                assert stream == list(reference_tables(m, n, *flags, instances)), spec
+        # only the unfiltered and the idempotent binary size 5, with and without dedup
+        assert sorted(refused) == [(5, 2, False, False)] * 2 + [(5, 2, True, False)] * 2
+
+    @pytest.mark.parametrize(
+        "size, arity, idempotent, classes, labeled",
+        [
+            (5, 2, False, 1_915, None),  # OEIS A027851
+            (3, 3, False, 29, 123),
+            (4, 3, True, 84, 1_044),
+            (4, 3, False, 380, 7_036),
+        ],
+    )
+    def test_counts_past_the_cap(self, monkeypatch, size, arity, idempotent, classes, labeled):
+        # the canonical classes, and the labeled tables they account for by
+        # orbit-stabilizer: m!/|Aut(T)| relabelings of each class T
+        monkeypatch.setattr(absorb.generate, "MAX_FREE_CELLS", size**arity)
+        spec = GenSpec(size, arity, idempotent=idempotent, dedup=True)
+        canonical = list(enumerate_tables(spec))
+        assert len(canonical) == classes
+        assert all(canonical_form(t) == t for t in canonical)
+        if labeled is None:
+            return
+        stream = list(enumerate_tables(dataclasses.replace(spec, dedup=False)))
+        assert len(stream) == labeled
+        assert all(is_associative(t) for t in stream)
+        assert list(_dedup_canonical(stream)) == canonical
+        orbits = sum(math.factorial(size) // automorphisms(t) for t in canonical)
+        assert orbits == labeled
 
 
 class TestPowerDedup:
