@@ -235,12 +235,12 @@ def _backtrack_tables(
     _require_within(free, "free cells", MAX_FREE_CELLS)
     if canonical:
         _require_within(size, "elements in a canonical form", CANONICAL_PERM_MAX_SIZE)
-    # At most (n - 1) * m**(2n - 1) equations of 2m + 2 cells each; the
-    # tuple count bounds m**n too.
+    # _assoc_equations holds two sides lists of m**(2n - 1) values, one per
+    # tuple; the tuple count bounds m**n too.  The equations it keeps are
+    # pairs of distinct sides, each a unit and a row of units, so they stay
+    # few while MAX_FREE_CELLS bounds the units.
     tuples = _power(size, 2 * arity - 1, cap)
     _require_within(tuples, "tuples per associativity check", cap)
-    entries = (arity - 1) * tuples * (2 * size + 2)
-    _require_within(entries, "associativity trigger entries", cap)
     units, forced = _cell_units(size, arity, idempotent, commutative)
     top = size**arity
     rep = list(range(top))

@@ -6,7 +6,7 @@ proved facts it violates, and whether it is a counterexample.  run_corpus
 takes any iterable of tables, writes one JSON record per line (a table
 record, then one pair record per proper subuniverse of that table), and
 classifies the outcome (consistent / counterexample-candidate / failed).
-A run encodes each distinct pair outcome once and splices each pair's
+A process encodes each distinct pair outcome once and splices each pair's
 subset into those bytes; the lines are those of to_record, byte for byte.
 The report is its own checkpoint: a table record gives the table, each
 pair record its subset, so an interrupted run resumes from the report
@@ -356,10 +356,13 @@ def _dump(record: dict) -> bytes:
     return _ENCODER.encode(record).encode() + b"\n"
 
 
-# A corpus run encodes each distinct pair outcome once (see _records).  Its
-# memo is emptied when it would pass this many entries, as the plan cache
-# is; an entry holds no table and measured about 1.4 KB.
+# A corpus run encodes each distinct pair outcome once (see _records).  A
+# pair record is a pure function of its key, so one memo serves every run
+# in the process, and forked helpers inherit it warm.  It is emptied when
+# it would pass this many entries, as the plan cache is; an entry holds no
+# table and measured about 1.4 KB.
 PAIR_RECORD_MEMO_MAX = 1024
+_pair_lines: dict[tuple, tuple[dict, bytes, bytes]] = {}
 
 
 def _header_record(bounds: OracleBounds, meta: dict | None) -> dict:
@@ -449,18 +452,18 @@ def _resume(
     return tables
 
 
-def _records(
-    tables: Iterable[NaryTable], bounds: OracleBounds, memo: dict
-) -> Iterator[tuple[dict, bytes]]:
+def _records(tables: Iterable[NaryTable], bounds: OracleBounds) -> Iterator[tuple[dict, bytes]]:
     """Each table's record and its line, then those of its pairs, until a
     fatal pair.
 
-    A pair that is no counterexample is encoded once per outcome: memo maps
-    (cond3, verdict, oracle, agreement, violations), which fix every byte of
-    its record but the subset, to that record with an empty subset and its
-    line cut around the subset's digits, and each pair with that outcome
-    gets the line with its own digits spliced in.  A flagged pair is
-    encoded whole, so the tally reads its subset.
+    A pair that is no counterexample is encoded once per outcome:
+    _pair_lines maps (cond3, verdict, oracle, agreement, violations), which
+    fix every byte of its record but the subset, to that record with an
+    empty subset and its line cut around the subset's digits, and each pair
+    with that outcome gets the line with its own digits spliced in.  The
+    bounds reach a record only through the oracle outcome and the
+    agreement, both in the key.  A flagged pair is encoded whole, so the
+    tally reads its subset.
     """
     for table in tables:
         facts = table_facts(table)
@@ -475,15 +478,15 @@ def _records(
                     return
                 continue
             key = (pair.cond3, pair.verdict, pair.oracle, pair.agreement, pair.violations)
-            entry = memo.get(key)
+            entry = _pair_lines.get(key)
             if entry is None:
-                if len(memo) >= PAIR_RECORD_MEMO_MAX:
-                    memo.clear()
+                if len(_pair_lines) >= PAIR_RECORD_MEMO_MAX:
+                    _pair_lines.clear()
                 record = pair.to_record()
                 record["sub"] = []
                 head, marker, tail = _dump(record).partition(b'"sub":[]')
                 assert marker and b'"sub":[]' not in tail, "one subset per pair record"
-                entry = memo[key] = (record, head + b'"sub":[', b"]" + tail)
+                entry = _pair_lines[key] = (record, head + b'"sub":[', b"]" + tail)
             record, head, tail = entry
             yield record, head + ",".join(map(str, sub.elements)).encode() + tail
 
@@ -510,19 +513,15 @@ def _chunks(stream: Iterator[NaryTable]) -> Iterator[tuple[list[NaryTable], Exce
 
 
 def _run_chunk(
-    tables: list[NaryTable], bounds: OracleBounds, memo: dict, write: Callable[[bytes], object]
-) -> tuple[CorpusReport, BaseException | None]:
+    tables: list[NaryTable], bounds: OracleBounds, write: Callable[[bytes], object]
+) -> CorpusReport:
     """Write the lines of a chunk's records with write, and return their
-    tally and the exception that cut the chunk short after those lines, if
-    one did; the caller raises it."""
+    tally; an exception propagates after the lines written before it."""
     tally = CorpusReport()
-    try:
-        for record, line in _records(tables, bounds, memo):
-            write(line)
-            tally.add_record(record)
-    except BaseException as exc:
-        return tally, exc
-    return tally, None
+    for record, line in _records(tables, bounds):
+        write(line)
+        tally.add_record(record)
+    return tally
 
 
 def _helper_count() -> int:
@@ -542,8 +541,9 @@ def _write_chunks(
     stream: Iterator[NaryTable], bounds: OracleBounds, out: BinaryIO, report: CorpusReport
 ) -> None:
     """Write the lines of every chunk of the stream to out in stream order
-    and tally them into report, until a fatal pair; then raise the exception
-    that cut a chunk short, if one did, as a serial run would."""
+    and tally them into report, until a fatal pair.  An exception in a chunk
+    or in the stream propagates after the lines before it, as in a serial
+    run."""
     chunks = _chunks(stream)
     cpus = _helper_count()
     # Forking costs more than it saves on a stream of at most two chunks,
@@ -556,17 +556,12 @@ def _write_chunks(
 
         results = helper_results(chunks, bounds, helpers, out)
     else:
-        memo: dict = {}
-        results = (
-            (*_run_chunk(tables, bounds, memo, out.write), error) for tables, error in chunks
-        )
+        results = ((_run_chunk(tables, bounds, out.write), error) for tables, error in chunks)
     with contextlib.closing(results):
-        for tally, exc, error in results:
+        for tally, error in results:
             report.merge(tally)
             if tally.status == STATUS_FAILED:
                 return
-            if exc is not None:
-                raise exc
             if error is not None:
                 raise error
 

@@ -4,23 +4,22 @@ harness.run_corpus checks a stream of more than two chunks here, on a
 platform with fork and from a process that runs no other thread.  Each
 helper is a forked process, with its own memory and caches, that reads
 chunks of tables from a pipe, runs each through harness._run_chunk, and
-sends back the chunk's lines as raw bytes, then its tally and the
-exception that cut it short, if one did.  The parent writes the lines to
-the report in stream order, so the report is the bytes of a run in one
-process.  Helpers ignore SIGINT; the parent stops them on every exit path.
+sends back one message per chunk: the chunk's lines, its tally, and the
+exception that cut it short with its traceback, if one did.  The parent
+writes the lines to the report in stream order, so the report is the
+bytes of a run in one process.  Helpers ignore SIGINT; the parent stops
+them on every exit path.
 
-The helpers are plain os.fork children, not multiprocessing processes,
-and the parent copies their lines 64 KiB at a time, not whole: over 50
-passes of the 3,492 binary size-4 tables, multiprocessing (its imports
-and whole-message reads) left the parent's peak RSS 2.2 MB above a serial
-run's, and this module 0.1 MB.
+The helpers are plain os.fork children, not multiprocessing processes:
+over 50 passes of the 3,492 binary size-4 tables, multiprocessing (its
+imports and whole-message reads) left the parent's peak RSS 2.2 MB above
+a serial run's, and raw forks reading whole messages 0.6 MB.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
-import io
 import marshal
 import os
 import signal
@@ -37,11 +36,11 @@ def helper_results(
     bounds: OracleBounds,
     count: int,
     out: BinaryIO,
-) -> Iterator[tuple[CorpusReport, BaseException | None, Exception | None]]:
+) -> Iterator[tuple[CorpusReport, Exception | None]]:
     """Run each chunk in one of count forked helpers, write its lines to out
-    in stream order, and yield what _run_chunk returned for it and the
-    chunk's stream exception; the helpers are stopped when the generator
-    ends or is closed.
+    in stream order, and yield its tally and its stream exception, or raise
+    the exception that cut it short in its helper; the helpers are stopped
+    when the generator ends or is closed.
 
     Each helper holds one chunk at a time, and the parent reads the helper
     whose chunk is next in the stream, then sends that helper the next
@@ -77,17 +76,16 @@ def helper_results(
             send_next(down, up)
         while turns:
             (down, up), error = turns.popleft()
-            if not _copy(up, out) or (result := _recv(up)) is None:
+            if (message := _recv(up)) is None:
                 raise RuntimeError("a corpus helper exited before sending its chunk")
-            fields, pickled, trace = marshal.loads(result)
-            exc = None
+            lines, fields, pickled, trace = marshal.loads(message)
+            out.write(lines)
             if pickled is not None:
                 import pickle
 
-                exc = pickle.loads(pickled)
-                exc.__cause__ = RuntimeError(f"in a corpus helper:\n{trace}")
+                raise pickle.loads(pickled) from RuntimeError(f"in a corpus helper:\n{trace}")
             send_next(down, up)
-            yield CorpusReport(*fields), exc, error
+            yield CorpusReport(*fields), error
     finally:
         for pid, down, up in helpers:  # a helper holds nothing that needs a clean exit
             os.kill(pid, signal.SIGKILL)
@@ -105,49 +103,36 @@ def _send(pipe: BinaryIO, data: bytes) -> None:
 
 def _recv(pipe: BinaryIO) -> bytes | None:
     """The next message _send wrote to pipe, or None if the pipe ends first."""
-    data = io.BytesIO()
-    return data.getvalue() if _copy(pipe, data) else None
-
-
-def _copy(pipe: BinaryIO, out: BinaryIO) -> bool:
-    """Copy the next message _send wrote to pipe into out, 64 KiB at a time;
-    False if the pipe ends first."""
     head = pipe.read(8)
     size = int.from_bytes(head, "little")
-    while size:
-        piece = pipe.read(min(size, 1 << 16))
-        if not piece:
-            return False
-        out.write(piece)
-        size -= len(piece)
-    return len(head) == 8
+    data = pipe.read(size)
+    return data if len(head) == 8 and len(data) == size else None
 
 
 def _serve(down: int, up: int, bounds: OracleBounds, parent_fds: list[int]) -> NoReturn:
     """A forked helper: run each chunk read from the pipe down, and send up
-    its lines, then its tally, exception (pickled) and that exception's
-    traceback, until the parent closes down or goes away; then end the
-    process."""
+    one message of its lines, its tally fields, and the exception that cut
+    it short (pickled, the tally then None) with its traceback, until the
+    parent closes down or goes away; then end the process."""
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its helpers
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
         for fd in parent_fds:  # so that a helper sees EOF once the parent is gone
             os.close(fd)
-        memo: dict = {}
         with open(down, "rb") as requests, open(up, "wb") as results:
             while (specs := _recv(requests)) is not None:
                 lines: list[bytes] = []
                 tables = [NaryTable(*spec) for spec in marshal.loads(specs)]
-                tally, exc = _run_chunk(tables, bounds, memo, lines.append)
-                pickled = trace = None
-                if exc is not None:
+                fields = pickled = trace = None
+                try:
+                    fields = dataclasses.astuple(_run_chunk(tables, bounds, lines.append))
+                except BaseException as exc:
                     import pickle
 
                     pickled = pickle.dumps(exc)
                     trace = "".join(traceback.format_exception(exc))
-                _send(results, b"".join(lines))
-                _send(results, marshal.dumps((dataclasses.astuple(tally), pickled, trace)))
+                _send(results, marshal.dumps((b"".join(lines), fields, pickled, trace)))
         status = 0
     finally:
         os._exit(status)  # never back into the parent's frames

@@ -284,7 +284,7 @@ class TestExhaustive:
         "arity, message",
         [
             (15, "2^29 tuples per associativity check exceed the cap of 4194304"),
-            (9, "6291456 associativity trigger entries exceed the cap of 4194304"),
+            (12, "2^23 tuples per associativity check exceed the cap of 4194304"),
         ],
     )
     def test_associativity_instances_are_counted_before_they_are_built(self, arity, message):
@@ -310,6 +310,17 @@ class TestExhaustive:
         tables = list(enumerate_tables(GenSpec(2, 8, commutative=True)))
         assert len(tables) == 6
         assert all(is_associative(t) and is_commutative(t) for t in tables)
+
+    def test_commutative_size2_arity9(self):
+        # 8 * 2^17 instances, but few distinct equations over 10 free cells;
+        # the labeled tables are the m!/|Aut(T)| relabelings of each class T
+        spec = GenSpec(2, 9, commutative=True)
+        stream = list(enumerate_tables(spec))
+        classes = list(enumerate_tables(dataclasses.replace(spec, dedup=True)))
+        assert (len(stream), len(classes)) == (6, 4)
+        assert all(is_associative(t) and is_commutative(t) for t in stream)
+        assert list(_dedup_canonical(stream)) == classes
+        assert sum(math.factorial(2) // automorphisms(t) for t in classes) == 6
 
 
 class TestPowerMode:

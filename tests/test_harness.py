@@ -734,6 +734,28 @@ class TestHelpers:
         assert data == body and seen == [2]
         assert resumed.summary_record() == full.summary_record()
 
+    def test_a_helper_that_dies(self, tmp_path, monkeypatch, forks, stream):
+        # the helper handed the fourth chunk exits without sending it
+        import absorb.helpers
+
+        chunk = absorb.harness.CORPUS_CHUNK_TABLES
+        doomed = stream[3 * chunk]
+        assert all(stream[i * chunk] != doomed for i in (0, 1, 2, 4, 5))
+        real = absorb.helpers._run_chunk
+
+        def dying(tables, bounds, write):
+            if tables[0] == doomed:
+                os._exit(1)
+            return real(tables, bounds, write)
+
+        monkeypatch.setattr(absorb.helpers, "_run_chunk", dying)
+        forked, body, _ = self.run(monkeypatch, forks, 2, stream, tmp_path / "forked.jsonl")
+        assert type(forked) is RuntimeError
+        assert str(forked) == "a corpus helper exited before sending its chunk"
+        assert body.count(b'"type":"table"') == 3 * chunk
+        _, serial, _ = self.run(monkeypatch, forks, 0, stream, tmp_path / "serial.jsonl")
+        assert serial.startswith(body)
+
     def test_no_more_helpers_than_chunks(self, tmp_path, monkeypatch, forks, binary3):
         # 226 tables are four chunks: eight usable CPUs fork four helpers
         monkeypatch.setattr(absorb.harness, "_helper_count", lambda: 8)
@@ -814,10 +836,31 @@ class TestPairRecordMemo:
 
     def test_memo_stays_within_its_cap(self, monkeypatch, binary3):
         monkeypatch.setattr(absorb.harness, "PAIR_RECORD_MEMO_MAX", 3)
-        memo = {}
-        sizes = [len(memo) for _ in absorb.harness._records(binary3, QUICK, memo)]
+        monkeypatch.setattr(absorb.harness, "_pair_lines", {})
+        memo = absorb.harness._pair_lines
+        sizes = [len(memo) for _ in absorb.harness._records(binary3, QUICK)]
         assert max(sizes) == 3
         assert 1 in sizes[sizes.index(3) :]  # full, then emptied
+
+    def test_memo_serves_the_next_run(self, tmp_path, monkeypatch, binary3):
+        # binary3 is two chunks, so both runs are in-process: the second
+        # encodes no pair record, and writes the first run's bytes
+        monkeypatch.setattr(absorb.harness, "_pair_lines", {})
+        dump = absorb.harness._dump
+        encoded = collections.Counter()
+
+        def counting(record):
+            encoded[record["type"]] += 1
+            return dump(record)
+
+        monkeypatch.setattr(absorb.harness, "_dump", counting)
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        report = run_corpus(binary3, QUICK, str(first))
+        assert report.status == "consistent" and encoded["pair"] > 0
+        encoded.clear()
+        run_corpus(binary3, QUICK, str(second))
+        assert (encoded["table"], encoded["pair"]) == (len(binary3), 0)
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestReportPins:
