@@ -300,9 +300,12 @@ def is_associative(table: NaryTable) -> bool:
     entries: for each prefix of p letters and each inner n-tuple, the inner
     value selects a contiguous row of the outer product.  Adjacent bracket
     positions suffice: equality of neighbouring value vectors chains across
-    all positions.
+    all positions.  Raises BudgetExceeded, before it builds them, when the
+    m**(2n-1) values of a bracketing would pass BUILD_MAX_VALUES.
     """
     n, m, entries = table.arity, table.size, table.entries
+    tuples = _power(m, 2 * n - 1, BUILD_MAX_VALUES)
+    _require_within(tuples, "tuples per associativity check", BUILD_MAX_VALUES)
     previous = None
     for p in range(n):
         width = m ** (n - 1 - p)  # outer products sharing their first p+1 arguments

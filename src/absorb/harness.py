@@ -456,12 +456,12 @@ def _records(tables: Iterable[NaryTable], bounds: OracleBounds) -> Iterator[tupl
     """Each table's record and its line, then those of its pairs, until a
     fatal pair.
 
-    A pair that is no counterexample is encoded once per outcome:
-    _pair_lines maps (cond3, verdict, oracle, agreement, violations), which
-    fix every byte of its record but the subset, to that record with an
-    empty subset and its line cut around the subset's digits, and each pair
-    with that outcome gets the line with its own digits spliced in.  The
-    bounds reach a record only through the oracle outcome and the
+    A pair that is no counterexample has no violations, and is encoded
+    once per outcome: _pair_lines maps (cond3, verdict, oracle, agreement),
+    which then fix every byte of its record but the subset, to that record
+    with an empty subset and its line cut around the subset's digits, and
+    each pair with that outcome gets the line with its own digits spliced
+    in.  The bounds reach a record only through the oracle outcome and the
     agreement, both in the key.  A flagged pair is encoded whole, so the
     tally reads its subset.
     """
@@ -477,7 +477,7 @@ def _records(tables: Iterable[NaryTable], bounds: OracleBounds) -> Iterator[tupl
                 if pair.violations:
                     return
                 continue
-            key = (pair.cond3, pair.verdict, pair.oracle, pair.agreement, pair.violations)
+            key = (pair.cond3, pair.verdict, pair.oracle, pair.agreement)
             entry = _pair_lines.get(key)
             if entry is None:
                 if len(_pair_lines) >= PAIR_RECORD_MEMO_MAX:

@@ -10,6 +10,12 @@ writes the lines to the report in stream order, so the report is the
 bytes of a run in one process.  Helpers ignore SIGINT; the parent stops
 them on every exit path.
 
+Each message is one pickle on the pipe, which delimits itself: the list
+of NaryTables of a chunk down, the tuple (lines, CorpusReport tally,
+exception, traceback) up.  Unpickling can run arbitrary code, but a pipe
+here only ever carries objects the parent built, or the replies of its
+own forked child; nothing else can write to it.
+
 The helpers are plain os.fork children, not multiprocessing processes:
 over 50 passes of the 3,492 binary size-4 tables, multiprocessing (its
 imports and whole-message reads) left the parent's peak RSS 2.2 MB above
@@ -19,9 +25,8 @@ a serial run's, and raw forks reading whole messages 0.6 MB.
 from __future__ import annotations
 
 import collections
-import dataclasses
-import marshal
 import os
+import pickle
 import signal
 import traceback
 from typing import BinaryIO, Iterator, NoReturn
@@ -69,23 +74,23 @@ def helper_results(
             chunk = next(chunks, None)
             if chunk is not None:
                 tables, error = chunk
-                _send(down, marshal.dumps([(t.arity, t.size, t.entries) for t in tables]))
+                pickle.dump(tables, down)
+                down.flush()
                 turns.append(((down, up), error))
 
         for _, down, up in helpers:
             send_next(down, up)
         while turns:
             (down, up), error = turns.popleft()
-            if (message := _recv(up)) is None:
-                raise RuntimeError("a corpus helper exited before sending its chunk")
-            lines, fields, pickled, trace = marshal.loads(message)
+            try:
+                lines, tally, exc, trace = pickle.load(up)
+            except (EOFError, pickle.UnpicklingError):  # cut off where the helper died
+                raise RuntimeError("a corpus helper exited before sending its chunk") from None
             out.write(lines)
-            if pickled is not None:
-                import pickle
-
-                raise pickle.loads(pickled) from RuntimeError(f"in a corpus helper:\n{trace}")
+            if exc is not None:
+                raise exc from RuntimeError(f"in a corpus helper:\n{trace}")
             send_next(down, up)
-            yield CorpusReport(*fields), error
+            yield tally, error
     finally:
         for pid, down, up in helpers:  # a helper holds nothing that needs a clean exit
             os.kill(pid, signal.SIGKILL)
@@ -94,26 +99,11 @@ def helper_results(
             up.close()
 
 
-def _send(pipe: BinaryIO, data: bytes) -> None:
-    """Write data to pipe as one message: its length, then its bytes."""
-    pipe.write(len(data).to_bytes(8, "little"))
-    pipe.write(data)
-    pipe.flush()
-
-
-def _recv(pipe: BinaryIO) -> bytes | None:
-    """The next message _send wrote to pipe, or None if the pipe ends first."""
-    head = pipe.read(8)
-    size = int.from_bytes(head, "little")
-    data = pipe.read(size)
-    return data if len(head) == 8 and len(data) == size else None
-
-
 def _serve(down: int, up: int, bounds: OracleBounds, parent_fds: list[int]) -> NoReturn:
     """A forked helper: run each chunk read from the pipe down, and send up
-    one message of its lines, its tally fields, and the exception that cut
-    it short (pickled, the tally then None) with its traceback, until the
-    parent closes down or goes away; then end the process."""
+    its lines, its tally and, if an exception cut it short, that exception
+    (the tally then None) with its traceback, until the parent closes down
+    or goes away; then end the process."""
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its helpers
@@ -121,18 +111,16 @@ def _serve(down: int, up: int, bounds: OracleBounds, parent_fds: list[int]) -> N
         for fd in parent_fds:  # so that a helper sees EOF once the parent is gone
             os.close(fd)
         with open(down, "rb") as requests, open(up, "wb") as results:
-            while (specs := _recv(requests)) is not None:
+            while requests.peek(1):  # empty once the parent is gone
+                tables = pickle.load(requests)
                 lines: list[bytes] = []
-                tables = [NaryTable(*spec) for spec in marshal.loads(specs)]
-                fields = pickled = trace = None
+                tally = error = trace = None
                 try:
-                    fields = dataclasses.astuple(_run_chunk(tables, bounds, lines.append))
+                    tally = _run_chunk(tables, bounds, lines.append)
                 except BaseException as exc:
-                    import pickle
-
-                    pickled = pickle.dumps(exc)
-                    trace = "".join(traceback.format_exception(exc))
-                _send(results, marshal.dumps((b"".join(lines), fields, pickled, trace)))
+                    error, trace = exc, "".join(traceback.format_exception(exc))
+                pickle.dump((b"".join(lines), tally, error, trace), results)
+                results.flush()
         status = 0
     finally:
         os._exit(status)  # never back into the parent's frames

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from absorb import (
+    BudgetExceeded,
     GenSpec,
     LengthNotEvaluable,
     NaryTable,
@@ -222,6 +223,13 @@ class TestIsAssociative:
             assert not naive_associative(changed(seven_ary[b], i))
         seven_ary_size2 = derive_power_algebra(Z2, 7)
         assert is_associative(seven_ary_size2) and naive_associative(seven_ary_size2)
+
+    def test_refused_past_the_build_cap(self):
+        # each bracketing of a 13-ary table of size 2 has 2^25 values
+        table = derive_power_algebra(Z2, 13)
+        message = r"^2\^25 tuples per associativity check exceed the cap of 4194304$"
+        with pytest.raises(BudgetExceeded, match=message):
+            is_associative(table)
 
 
 class TestEvalWord:

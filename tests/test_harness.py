@@ -756,6 +756,29 @@ class TestHelpers:
         _, serial, _ = self.run(monkeypatch, forks, 0, stream, tmp_path / "serial.jsonl")
         assert serial.startswith(body)
 
+    def test_a_helper_whose_exception_does_not_pickle(self, tmp_path, monkeypatch, forks, stream):
+        # the fourth chunk's exception holds a lock, which pickle refuses
+        # after it has sent the chunk's lines: the message is cut off there
+        import absorb.helpers
+
+        chunk = absorb.harness.CORPUS_CHUNK_TABLES
+        doomed = stream[3 * chunk]
+        real = absorb.helpers._run_chunk
+
+        def raising(tables, bounds, write):
+            tally = real(tables, bounds, write)
+            if tables[0] == doomed:
+                raise ValueError(threading.Lock())
+            return tally
+
+        monkeypatch.setattr(absorb.helpers, "_run_chunk", raising)
+        forked, body, _ = self.run(monkeypatch, forks, 2, stream, tmp_path / "forked.jsonl")
+        assert type(forked) is RuntimeError
+        assert str(forked) == "a corpus helper exited before sending its chunk"
+        assert body.count(b'"type":"table"') == 3 * chunk
+        _, serial, _ = self.run(monkeypatch, forks, 0, stream, tmp_path / "serial.jsonl")
+        assert serial.startswith(body)
+
     def test_no_more_helpers_than_chunks(self, tmp_path, monkeypatch, forks, binary3):
         # 226 tables are four chunks: eight usable CPUs fork four helpers
         monkeypatch.setattr(absorb.harness, "_helper_count", lambda: 8)
