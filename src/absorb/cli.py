@@ -13,6 +13,7 @@ import warnings
 from dataclasses import asdict, fields
 
 from .core import (
+    associativity_tuples,
     compute_exponent,
     derive_power_algebra,
     is_associative,
@@ -133,6 +134,7 @@ def _cmd_power_algebra(args) -> int:
     table, _labels = load_algebra(args.algebra)
     if not is_associative(table):
         raise AbsorbError("input table is not associative")
+    associativity_tuples(table.size, args.k)  # so that check can read what is written
     derived = derive_power_algebra(table, args.k)
     save_algebra(args.out, derived)
     _emit({"arity": derived.arity, "size": derived.size, "out": args.out})

@@ -292,6 +292,15 @@ def derive_power_algebra(table: NaryTable, k: int) -> NaryTable:
     return NaryTable(arity=k, size=m, entries=power)
 
 
+def associativity_tuples(size: int, arity: int) -> int:
+    """The m**(2n-1) tuples of one associativity check of an n-ary table on
+    m elements; raises BudgetExceeded when they would pass BUILD_MAX_VALUES.
+    The one guard of every route that checks, or derives a table to check."""
+    tuples = _power(size, 2 * arity - 1, BUILD_MAX_VALUES)
+    _require_within(tuples, "tuples per associativity check", BUILD_MAX_VALUES)
+    return tuples
+
+
 def is_associative(table: NaryTable) -> bool:
     """All n bracketings of every (2n-1)-tuple agree.
 
@@ -304,8 +313,7 @@ def is_associative(table: NaryTable) -> bool:
     m**(2n-1) values of a bracketing would pass BUILD_MAX_VALUES.
     """
     n, m, entries = table.arity, table.size, table.entries
-    tuples = _power(m, 2 * n - 1, BUILD_MAX_VALUES)
-    _require_within(tuples, "tuples per associativity check", BUILD_MAX_VALUES)
+    associativity_tuples(m, n)
     previous = None
     for p in range(n):
         width = m ** (n - 1 - p)  # outer products sharing their first p+1 arguments

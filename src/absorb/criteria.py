@@ -51,7 +51,8 @@ class CaseTag(str, Enum):
 class AbsorptionVerdict:
     """Decision outcome with evidence.
 
-    absorbs=True carries the exponent and a verified witness word;
+    absorbs=True carries the exponent and the constructed witness x^(k-1)y,
+    unverified here (PairReport.violations verifies it);
     absorbs=False names the first failing clause (products checked before
     the exponent).  exponent_k is populated whenever the exponent exists,
     even on failed verdicts.

@@ -106,7 +106,11 @@ def read_corpus_dir(dirpath: str) -> tuple[list[NaryTable], dict]:
     if os.path.exists(meta_path):
         meta = _load_object(meta_path)
         files = meta.get("files")
-        if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
+        # a name with a directory part could reach outside the corpus
+        if not isinstance(files, list) or not all(
+            isinstance(name, str) and name not in ("", ".", "..") and os.path.basename(name) == name
+            for name in files
+        ):
             raise ValueError(f"{meta_path}: 'files' must be a list of file names")
     else:
         meta = {}

@@ -30,6 +30,7 @@ from .core import (  # canonical_form is looked up here by bench/run.py:install
     _power,
     _relabeling_sources,
     _require_within,
+    associativity_tuples,
     canonical_form,
     derive_power_algebra,
     is_associative,
@@ -239,8 +240,7 @@ def _backtrack_tables(
     # tuple; the tuple count bounds m**n too.  The equations it keeps are
     # pairs of distinct sides, each a unit and a row of units, so they stay
     # few while MAX_FREE_CELLS bounds the units.
-    tuples = _power(size, 2 * arity - 1, cap)
-    _require_within(tuples, "tuples per associativity check", cap)
+    associativity_tuples(size, arity)
     units, forced = _cell_units(size, arity, idempotent, commutative)
     top = size**arity
     rep = list(range(top))
@@ -365,8 +365,7 @@ def random_filtered(
     keepers, or earlier with an AttemptCapExhausted warning when the next
     draw would take the tuples read past MAX_SAMPLE_TUPLES.
     """
-    tuples = _power(size, 2 * arity - 1, BUILD_MAX_VALUES)
-    _require_within(tuples, "tuples per associativity check", BUILD_MAX_VALUES)
+    tuples = associativity_tuples(size, arity)
     units, forced = _cell_units(size, arity, idempotent, commutative)
     rng = random.Random(seed)
     template: list[int] = [0] * (size**arity)
@@ -402,6 +401,7 @@ def enumerate_tables(spec: GenSpec) -> Iterator[NaryTable]:
             spec.size, spec.arity, spec.idempotent, spec.commutative, canonical=spec.dedup
         )
     if spec.mode == "power":
+        associativity_tuples(spec.size, spec.arity)  # of each derived table, before any is derived
         stream = (
             derive_power_algebra(binary, spec.arity)
             for binary in _backtrack_tables(spec.size, 2, False, False, canonical=spec.dedup)

@@ -12,23 +12,24 @@ The report is its own checkpoint: a table record gives the table, each
 pair record its subset, so an interrupted run resumes from the report
 alone and comes out byte-identical.
 
-run_corpus reads its stream in chunks of CORPUS_CHUNK_TABLES tables, and
-one chunk runner writes a chunk's lines and tallies them.  A stream of at
-most two chunks runs in-process.  A longer one, on a platform with fork
-and called from a process that runs no other thread, is checked on every
-CPU: the helpers module forks one helper per usable CPU (none on a single
-CPU, and no more than the chunks there are), each its own process with
-its own memory and caches, sends each one chunk at a time over a pipe,
-and writes their lines in stream order.  The report is the same bytes
-either way, also when a fatal pair or an exception cuts the run short,
-and no helper outlives run_corpus.
+run_corpus reads its tables whole before it touches the report, so a
+stream that raises leaves the report as it was.  One chunk runner writes
+the lines of a list of tables and tallies them.  A run of at most two
+chunks of CORPUS_CHUNK_TABLES tables is one call of it, in-process.  A
+longer one, on a platform with fork and called from a process that runs
+no other thread, is cut into chunks and checked on every CPU: the helpers
+module forks one helper per usable CPU (none on a single CPU, and no more
+than the chunks there are), each its own process with its own memory and
+caches, which runs its share of the chunks from the memory it shares
+with the parent at the fork; the parent writes their lines in order.
+The report is the same bytes either way, also when a fatal pair or an
+exception cuts the run short, and no helper outlives run_corpus.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import json
 import os
 import threading
@@ -389,16 +390,16 @@ def _expected_records(table: NaryTable) -> Iterator[tuple[str, str, list[int]]]:
 
 
 def _resume(
-    path: str, header_bytes: bytes, tables: Iterator[NaryTable], report: CorpusReport
-) -> Iterator[NaryTable] | None:
+    path: str, header_bytes: bytes, tables: list[NaryTable], report: CorpusReport
+) -> int | None:
     """Tally the report at path table by table, cut it after the last table
-    it holds complete, and return the tables still to run; None when it
-    holds no complete header, so the run starts afresh.
+    it holds complete, and return the index of the first table still to
+    run; None when it holds no complete header, so the run starts afresh.
 
     A table is complete when its table record and all its pair records are
     there and none is fatal.  Raises ValueError, leaving the file as it is,
     unless the header is this run's, each table record holds the table and
-    each pair record the subset this stream puts there, and every line the
+    each pair record the subset these tables put there, and every line the
     walk reads is a JSON object with the keys it reads.
     """
     try:
@@ -413,7 +414,7 @@ def _resume(
             raise ValueError(f"report {path} does not match this run's parameters")
         kept = f.tell()
         lines = enumerate(iter(f.readline, b""), start=2)
-        number = 1
+        number, done = 1, 0
         try:
             for table in tables:
                 unit = []
@@ -435,8 +436,8 @@ def _resume(
                     for number, record in unit:
                         report.add_record(record)
                     kept = f.tell()
+                    done += 1
                     continue
-                tables = itertools.chain([table], tables)
                 break
             else:
                 number, line = next(lines, (number, b""))
@@ -449,7 +450,7 @@ def _resume(
                 f"report {path} line {number}: not a report record ({type(exc).__name__}: {exc})"
             ) from None
         f.truncate(kept)
-    return tables
+    return done
 
 
 def _records(tables: Iterable[NaryTable], bounds: OracleBounds) -> Iterator[tuple[dict, bytes]]:
@@ -491,25 +492,9 @@ def _records(tables: Iterable[NaryTable], bounds: OracleBounds) -> Iterator[tupl
             yield record, head + ",".join(map(str, sub.elements)).encode() + tail
 
 
-# run_corpus reads its table stream in chunks of this many tables, each run
-# by one call of _run_chunk, in-process or in a helper.
+# run_corpus hands the tables of a run longer than two chunks of this many
+# tables to forked helpers, one call of _run_chunk per chunk.
 CORPUS_CHUNK_TABLES = 64
-
-
-def _chunks(stream: Iterator[NaryTable]) -> Iterator[tuple[list[NaryTable], Exception | None]]:
-    """Each chunk of the stream, with the exception that ended the stream
-    after the chunk's tables, if one did."""
-    while True:
-        tables = []
-        try:
-            for table in itertools.islice(stream, CORPUS_CHUNK_TABLES):
-                tables.append(table)
-        except Exception as exc:
-            yield tables, exc
-            return
-        if not tables:
-            return
-        yield tables, None
 
 
 def _run_chunk(
@@ -525,7 +510,7 @@ def _run_chunk(
 
 
 def _helper_count() -> int:
-    """The helpers a long stream is run with: one per usable CPU; none on a
+    """The helpers a long run is checked with: one per usable CPU; none on a
     single CPU, without fork, or in a process that runs other threads,
     where a fork is unsafe (the child gets only the calling thread)."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
@@ -538,32 +523,26 @@ def _helper_count() -> int:
 
 
 def _write_chunks(
-    stream: Iterator[NaryTable], bounds: OracleBounds, out: BinaryIO, report: CorpusReport
+    tables: list[NaryTable], bounds: OracleBounds, out: BinaryIO, report: CorpusReport
 ) -> None:
-    """Write the lines of every chunk of the stream to out in stream order
-    and tally them into report, until a fatal pair.  An exception in a chunk
-    or in the stream propagates after the lines before it, as in a serial
-    run."""
-    chunks = _chunks(stream)
-    cpus = _helper_count()
-    # Forking costs more than it saves on a stream of at most two chunks,
-    # and a helper beyond the stream's chunks would get none.
-    ahead = list(itertools.islice(chunks, max(3, cpus)))
-    helpers = min(cpus, len(ahead)) if len(ahead) > 2 else 0
-    chunks = itertools.chain(ahead, chunks)
-    if helpers:
-        from .helpers import helper_results  # imported only where a run forks
+    """Write the lines of the tables' records to out in order and tally them
+    into report, until a fatal pair.  An exception in a table propagates
+    after the lines before it, as in a serial run."""
+    # Forking costs more than it saves on at most two chunks.
+    cpus = _helper_count() if len(tables) > 2 * CORPUS_CHUNK_TABLES else 0
+    if not cpus:
+        report.merge(_run_chunk(tables, bounds, out.write))
+        return
+    from .helpers import helper_results  # imported only where a run forks
 
-        results = helper_results(chunks, bounds, helpers, out)
-    else:
-        results = ((_run_chunk(tables, bounds, out.write), error) for tables, error in chunks)
-    with contextlib.closing(results):
-        for tally, error in results:
+    step = CORPUS_CHUNK_TABLES
+    chunks = [tables[i : i + step] for i in range(0, len(tables), step)]
+    helpers = min(cpus, len(chunks))  # a helper beyond the chunks would get none
+    with contextlib.closing(helper_results(chunks, bounds, helpers, out)) as tallies:
+        for tally in tallies:
             report.merge(tally)
             if tally.status == STATUS_FAILED:
                 return
-            if error is not None:
-                raise error
 
 
 def run_corpus(
@@ -575,9 +554,10 @@ def run_corpus(
 ) -> CorpusReport:
     """Check every (table, proper closed sub) pair of any iterable of tables.
 
-    Writes the header, then for each table its table record and one pair
-    record per proper subuniverse, one per line, to out_path, and a final
-    summary record.  With resume, a killed run continues from the report
+    Reads the tables whole first, so an iterable that raises leaves out_path
+    as it was.  Then writes the header, for each table its table record and
+    one pair record per proper subuniverse, one per line, to out_path, and
+    a final summary record.  With resume, a killed run continues from the report
     it left: the tables it holds complete are tallied, not redone, and the
     bytes come out as a fresh run's (see _resume).  Otherwise out_path is
     overwritten.  Proved-case inconsistencies abort the run as failed;
@@ -585,15 +565,15 @@ def run_corpus(
     counterexample candidates and the run continues.
     """
     started = time.perf_counter()
-    stream = iter(tables)
+    tables = list(tables)
     header_bytes = _dump(_header_record(bounds, meta))
     report = CorpusReport()
-    pending = _resume(out_path, header_bytes, stream, report) if resume else None
-    with open(out_path, "wb" if pending is None else "ab") as out:
-        if pending is None:
+    done = _resume(out_path, header_bytes, tables, report) if resume else None
+    with open(out_path, "wb" if done is None else "ab") as out:
+        if done is None:
             out.write(header_bytes)
-            pending = stream
-        _write_chunks(pending, bounds, out, report)
+            done = 0
+        _write_chunks(tables[done:], bounds, out, report)
         out.write(_dump(report.summary_record()))
 
     report.wall_time = time.perf_counter() - started

@@ -1,20 +1,18 @@
 """Forked helper processes for run_corpus.
 
-harness.run_corpus checks a stream of more than two chunks here, on a
-platform with fork and from a process that runs no other thread.  Each
-helper is a forked process, with its own memory and caches, that reads
-chunks of tables from a pipe, runs each through harness._run_chunk, and
-sends back one message per chunk: the chunk's lines, its tally, and the
-exception that cut it short with its traceback, if one did.  The parent
-writes the lines to the report in stream order, so the report is the
-bytes of a run in one process.  Helpers ignore SIGINT; the parent stops
-them on every exit path.
+harness.run_corpus checks a run of more than two chunks here, on a
+platform with fork and from a process that runs no other thread.  Helper
+j of h is a forked process, with its own memory and caches, that runs
+chunks j, j+h, ... through harness._run_chunk, from the memory it shares
+with the parent at the fork, and sends back one message per chunk: the
+chunk's lines, its tally, and the exception that cut it short with its
+traceback, if one did.  The parent reads chunk i from helper i mod h and
+writes its lines in order, so the report is the bytes of a run in one
+process.  Helpers ignore SIGINT; the parent stops them on every exit path.
 
-Each message is one pickle on the pipe, which delimits itself: the list
-of NaryTables of a chunk down, the tuple (lines, CorpusReport tally,
-exception, traceback) up.  Unpickling can run arbitrary code, but a pipe
-here only ever carries objects the parent built, or the replies of its
-own forked child; nothing else can write to it.
+Each message is one pickle on the helper's pipe, which delimits itself.
+Unpickling can run arbitrary code, but a pipe here only ever carries the
+replies of the parent's own forked child.
 
 The helpers are plain os.fork children, not multiprocessing processes:
 over 50 passes of the 3,492 binary size-4 tables, multiprocessing (its
@@ -24,7 +22,6 @@ a serial run's, and raw forks reading whole messages 0.6 MB.
 
 from __future__ import annotations
 
-import collections
 import os
 import pickle
 import signal
@@ -37,82 +34,62 @@ from .oracle import OracleBounds
 
 
 def helper_results(
-    chunks: Iterator[tuple[list[NaryTable], Exception | None]],
-    bounds: OracleBounds,
-    count: int,
-    out: BinaryIO,
-) -> Iterator[tuple[CorpusReport, Exception | None]]:
-    """Run each chunk in one of count forked helpers, write its lines to out
-    in stream order, and yield its tally and its stream exception, or raise
-    the exception that cut it short in its helper; the helpers are stopped
-    when the generator ends or is closed.
+    chunks: list[list[NaryTable]], bounds: OracleBounds, count: int, out: BinaryIO
+) -> Iterator[CorpusReport]:
+    """Run the chunks in count forked helpers, write each chunk's lines to
+    out in order, and yield its tally, or raise the exception that cut it
+    short in its helper; the helpers are stopped when the generator ends or
+    is closed.
 
-    Each helper holds one chunk at a time, and the parent reads the helper
-    whose chunk is next in the stream, then sends that helper the next
-    chunk, so a send never waits on a helper that waits to send.
+    The parent reads each helper's messages in the order it sends them, so a
+    helper blocks only on one the parent reads in turn: nothing deadlocks.
     """
-    helpers = []  # (pid, pipe to it, pipe from it)
+    helpers = []  # (pid, pipe from it)
     try:
         # Blocked while forking, so a helper ignores SIGINT from its start.
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            for _ in range(count):
-                down_r, down_w = os.pipe()
+            for j in range(count):
                 up_r, up_w = os.pipe()
                 pid = os.fork()
-                if pid == 0:
-                    ours = [down_w, up_r] + [f.fileno() for _, *pipes in helpers for f in pipes]
-                    _serve(down_r, up_w, bounds, ours)
-                os.close(down_r)
+                if pid == 0:  # inherits the read ends of its own pipe and the earlier ones
+                    read_ends = [up_r] + [up.fileno() for _, up in helpers]
+                    _serve(chunks[j::count], up_w, bounds, read_ends)
                 os.close(up_w)
-                helpers.append((pid, open(down_w, "wb"), open(up_r, "rb")))
+                helpers.append((pid, open(up_r, "rb")))
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        turns: collections.deque = collections.deque()  # (pipes, stream error) per chunk sent
-
-        def send_next(down: BinaryIO, up: BinaryIO) -> None:
-            chunk = next(chunks, None)
-            if chunk is not None:
-                tables, error = chunk
-                pickle.dump(tables, down)
-                down.flush()
-                turns.append(((down, up), error))
-
-        for _, down, up in helpers:
-            send_next(down, up)
-        while turns:
-            (down, up), error = turns.popleft()
+        for i in range(len(chunks)):
             try:
-                lines, tally, exc, trace = pickle.load(up)
+                lines, tally, exc, trace = pickle.load(helpers[i % count][1])
             except (EOFError, pickle.UnpicklingError):  # cut off where the helper died
                 raise RuntimeError("a corpus helper exited before sending its chunk") from None
             out.write(lines)
             if exc is not None:
                 raise exc from RuntimeError(f"in a corpus helper:\n{trace}")
-            send_next(down, up)
-            yield tally, error
+            yield tally
     finally:
-        for pid, down, up in helpers:  # a helper holds nothing that needs a clean exit
+        for pid, up in helpers:  # a helper holds nothing that needs a clean exit
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            down.close()
             up.close()
 
 
-def _serve(down: int, up: int, bounds: OracleBounds, parent_fds: list[int]) -> NoReturn:
-    """A forked helper: run each chunk read from the pipe down, and send up
-    its lines, its tally and, if an exception cut it short, that exception
-    (the tally then None) with its traceback, until the parent closes down
-    or goes away; then end the process."""
+def _serve(
+    chunks: list[list[NaryTable]], up: int, bounds: OracleBounds, read_ends: list[int]
+) -> NoReturn:
+    """A forked helper: run each of its chunks and send up its lines, its
+    tally and, if an exception cut it short, that exception (the tally then
+    None) with its traceback; stop after such a chunk, or when the parent is
+    gone, and end the process."""
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its helpers
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-        for fd in parent_fds:  # so that a helper sees EOF once the parent is gone
+        for fd in read_ends:  # so that a write fails once the parent is gone
             os.close(fd)
-        with open(down, "rb") as requests, open(up, "wb") as results:
-            while requests.peek(1):  # empty once the parent is gone
-                tables = pickle.load(requests)
+        with open(up, "wb") as results:
+            for tables in chunks:
                 lines: list[bytes] = []
                 tally = error = trace = None
                 try:
@@ -121,6 +98,8 @@ def _serve(down: int, up: int, bounds: OracleBounds, parent_fds: list[int]) -> N
                     error, trace = exc, "".join(traceback.format_exception(exc))
                 pickle.dump((b"".join(lines), tally, error, trace), results)
                 results.flush()
+                if error is not None:
+                    break
         status = 0
     finally:
         os._exit(status)  # never back into the parent's frames

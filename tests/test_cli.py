@@ -102,11 +102,12 @@ class TestFileFormats:
         assert [t.entries for t in tables] == [TZ2.entries, MIN2.entries, Z2.entries]
         assert meta == {}
 
-    @pytest.mark.parametrize("files", [[1], "ab", None])
+    @pytest.mark.parametrize("files", [[1], "ab", None, ["../c/table_000000.json"]])
     def test_corpus_files_must_be_a_list_of_names(self, capsys, tmp_path, files):
         corpus = tmp_path / "c"
         write_corpus_dir(str(corpus), GenSpec(2, 2), [MIN2])
-        # "ab" would otherwise name the files "a" and "b"
+        # "ab" would otherwise name the files "a" and "b", and a name with a
+        # directory part could reach files outside the corpus
         for name in ("a", "b"):
             save_algebra(str(corpus / name), MIN2)
         meta = json.loads((corpus / "corpus.json").read_text())
@@ -355,6 +356,17 @@ class TestEnumerateAndVerify:
         assert stderr.startswith("error: 3^") and " exceed the cap of " in stderr
         assert not out.exists()
 
+    def test_power_mode_refuses_tables_check_would_refuse(self, capsys, tmp_path):
+        # each 13-ary power algebra of a 2-element table has 2^25 tuples per
+        # associativity check, past the cap verify-conjecture would stop at
+        out = tmp_path / "x"
+        argv = ["enumerate", "--size", "2", "--arity", "13", "--mode", "power", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: 2^25 tuples per associativity check exceed the cap of 4194304\n"
+        )
+        assert not out.exists()
+
 
 class TestPowerAlgebra:
     def test_derive_and_save(self, capsys, files, tmp_path):
@@ -390,6 +402,15 @@ class TestPowerAlgebra:
         code = main(["power-algebra", "--algebra", str(min3), "--k", "17", "--out", str(out)])
         assert code == 1
         assert "exceed the cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_refuses_a_table_check_would_refuse(self, capsys, files, tmp_path):
+        out = tmp_path / "x.json"
+        code = main(["power-algebra", "--algebra", files["min"], "--k", "13", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: 2^25 tuples per associativity check exceed the cap of 4194304\n"
+        )
         assert not out.exists()
 
     def test_nonassociative_input_rejected(self, tmp_path):

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import signal
 import sys
 import threading
 
@@ -620,31 +621,6 @@ class TestRunStatus:
 
 # binary a-b mod 3, not associative
 NONASSOC3 = NaryTable.from_function(2, 3, lambda a, b: (a - b) % 3)
-# the table at which watched() counts the helpers: past the first three
-# chunks the run reads before it forks, also when it resumes after table 40
-WATCH_AT = 300
-
-
-def watched(tables, forks, seen, interrupt=False):
-    """tables, noting in seen how many helpers were forked when table
-    WATCH_AT is pulled, or raising KeyboardInterrupt there with interrupt."""
-    for i, table in enumerate(tables):
-        if i == WATCH_AT:
-            seen.append(len(forks))
-            if interrupt:
-                raise KeyboardInterrupt
-        yield table
-
-
-class BrokenStream:
-    """Iterates over tables, then raises ValueError."""
-
-    def __init__(self, tables):
-        self.tables = tables
-
-    def __iter__(self):
-        yield from self.tables
-        raise ValueError("the stream broke")
 
 
 class TestHelpers:
@@ -673,20 +649,20 @@ class TestHelpers:
     @pytest.fixture
     def stream(self, binary3):
         tables = binary3 * 3
-        assert len(tables) > WATCH_AT >= 41 + 3 * absorb.harness.CORPUS_CHUNK_TABLES
+        # more than two chunks are left also when a run resumes after table 40
+        assert len(tables) > 41 + 2 * absorb.harness.CORPUS_CHUNK_TABLES
         return tables
 
     def run(self, monkeypatch, forks, helpers, tables, path, **kwargs):
         """run_corpus with helpers forced on or off; returns (report or the
-        exception it raised, report bytes, helpers forked by table WATCH_AT)."""
+        exception it raised, report bytes, [helpers it forked])."""
         monkeypatch.setattr(absorb.harness, "_helper_count", lambda: helpers)
         before = len(forks)
-        seen = []
         try:
-            result = run_corpus(watched(tables, forks, seen), QUICK, str(path), **kwargs)
-        except (Exception, KeyboardInterrupt) as exc:
+            result = run_corpus(tables, QUICK, str(path), **kwargs)
+        except Exception as exc:
             result = exc
-        return result, path.read_bytes(), [n - before for n in seen]
+        return result, path.read_bytes(), [len(forks) - before]
 
     def both(self, monkeypatch, forks, tmp_path, tables):
         serial = self.run(monkeypatch, forks, 0, tables, tmp_path / "serial.jsonl")
@@ -710,18 +686,33 @@ class TestHelpers:
         serial.wall_time = forked.wall_time = 0.0
         assert forked == serial
 
-    @pytest.mark.parametrize("cut_by", [NotAssociative, ValueError])
-    def test_exception_in_a_helper_chunk(self, tmp_path, monkeypatch, forks, stream, cut_by):
-        # a non-associative table in a chunk, or a stream that breaks after
-        # table 310, raises after the lines before it
-        if cut_by is NotAssociative:
-            tables = stream[:310] + [NONASSOC3] + stream[310:]
-        else:
-            tables = BrokenStream(stream[:310])
+    def test_exception_in_a_helper_chunk(self, tmp_path, monkeypatch, forks, stream):
+        # a non-associative table in a chunk raises after the lines before it
+        tables = stream[:310] + [NONASSOC3] + stream[310:]
         serial, forked = self.both(monkeypatch, forks, tmp_path, tables)
-        assert type(serial) is type(forked) is cut_by
+        assert type(serial) is type(forked) is NotAssociative
         assert str(forked) == str(serial)
         assert (tmp_path / "forked.jsonl").read_bytes().count(b'"type":"table"') == 310
+
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_a_stream_that_raises_leaves_the_report_as_it_was(
+        self, tmp_path, monkeypatch, forks, stream, resume
+    ):
+        def broken():
+            yield from stream[:310]
+            raise ValueError("the stream broke")
+
+        monkeypatch.setattr(absorb.harness, "_helper_count", lambda: 2)
+        out = tmp_path / "report.jsonl"
+        with pytest.raises(ValueError, match="the stream broke"):
+            run_corpus(broken(), QUICK, str(out), resume=resume)
+        assert not out.exists()
+        run_corpus(stream[:200], QUICK, str(out))
+        old = out.read_bytes()
+        with pytest.raises(ValueError, match="the stream broke"):
+            run_corpus(broken(), QUICK, str(out), resume=resume)
+        assert out.read_bytes() == old
+        assert len(forks) == 2  # by the run of 200 tables only
 
     def test_resume_of_a_report_cut_in_a_helper_chunk(self, tmp_path, monkeypatch, forks, stream):
         full, body, _ = self.run(monkeypatch, forks, 2, stream, tmp_path / "clean.jsonl")
@@ -803,12 +794,22 @@ class TestHelpers:
         assert absorb.harness._helper_count() == 0
 
     def test_interrupt_in_the_parent_stops_the_helpers(self, tmp_path, monkeypatch, forks, stream):
+        # Ctrl-C reaches the parent once it has merged the third chunk
         monkeypatch.setattr(absorb.harness, "_helper_count", lambda: 2)
-        seen = []
+        merge = CorpusReport.merge
+        merged = []
+
+        def interrupting(report, other):
+            merge(report, other)
+            merged.append(other)
+            if len(merged) == 3:
+                os.kill(os.getpid(), signal.SIGINT)
+
+        monkeypatch.setattr(CorpusReport, "merge", interrupting)
         out = tmp_path / "report.jsonl"
         with pytest.raises(KeyboardInterrupt):
-            run_corpus(watched(stream, forks, seen, interrupt=True), QUICK, str(out))
-        assert seen == [2]
+            run_corpus(stream, QUICK, str(out))
+        assert len(forks) == 2
         # what was written is a prefix of the full report, so it resumes
         monkeypatch.setattr(absorb.harness, "_helper_count", lambda: 0)
         clean = tmp_path / "clean.jsonl"
