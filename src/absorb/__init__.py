@@ -37,7 +37,6 @@ from .criteria import (
 )
 from .errors import (
     AbsorbError,
-    AttemptCapExhausted,
     BudgetExceeded,
     LengthNotEvaluable,
     NotAssociative,
@@ -45,11 +44,7 @@ from .errors import (
     NotProperSubuniverse,
     PreconditionsUnmet,
 )
-from .generate import (
-    GenSpec,
-    enumerate_tables,
-    random_filtered,
-)
+from .generate import GenSpec, enumerate_tables
 from .harness import (
     Agreement,
     CorpusReport,
@@ -73,7 +68,6 @@ __all__ = [
     "AbsorbError",
     "AbsorptionVerdict",
     "Agreement",
-    "AttemptCapExhausted",
     "BudgetExceeded",
     "CaseTag",
     "CorpusReport",
@@ -112,7 +106,6 @@ __all__ = [
     "is_idempotent",
     "oracle_agrees",
     "power_profile",
-    "random_filtered",
     "run_corpus",
     "search_absorbing_term",
     "table_digest",

@@ -28,8 +28,3 @@ class BudgetExceeded(AbsorbError):
 class PreconditionsUnmet(AbsorbError):
     """Operation invoked outside its stated preconditions."""
 
-
-class AttemptCapExhausted(UserWarning):
-    """Random sampling read its budget of associativity tuples across all
-    draws before producing the requested number of tables.  Reported via
-    warnings.warn, never raised: the stream simply ends early."""

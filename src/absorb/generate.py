@@ -1,5 +1,6 @@
 """Corpus generators: exhaustive backtracking over associative tables,
-power-derived families, seeded random sampling, and canonical forms.
+power-derived families, seeded random descents of the same search, and
+canonical forms.
 
 Exhaustive mode yields tables in ascending lexicographic order of their
 entries.  It branches on the free cells in order and propagates each value
@@ -8,17 +9,19 @@ known forces its unknown outer cell, or fails the branch, and every value
 assigned or forced goes on a trail that backtracking pops.  With dedup it
 prunes, during the search, every table that is not its own canonical
 form; by that order, these are exactly the tables that deduplicating the
-full stream would keep, in the same order.  Power and
-random streams are deduplicated by canonical bytes; a deduplicated power
-stream derives from the canonical binary tables only, as the first binary
-table whose power lands in a class is its own canonical form.
+full stream would keep, in the same order.  Random mode runs the same
+search, each descent taking the values of each cell in a seeded shuffled
+order and stopping at its first table; its tables are not uniform over the
+associative ones.  Power and random streams are deduplicated by canonical
+bytes; a deduplicated power stream derives from the canonical binary
+tables only, as the first binary table whose power lands in a class is its
+own canonical form.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -33,11 +36,9 @@ from .core import (  # canonical_form is looked up here by bench/run.py:install
     associativity_tuples,
     canonical_form,
     derive_power_algebra,
-    is_associative,
     is_commutative,
     is_idempotent,
 )
-from .errors import AttemptCapExhausted
 
 # Backtracking budget: number of free cells (or cell orbits, once filters
 # pin some of them) that the search may branch on.  16 admits all binary
@@ -45,8 +46,10 @@ from .errors import AttemptCapExhausted
 # size 3 (27 cells) stays out of budget.
 MAX_FREE_CELLS = 16
 
-# Seeded sampling uses random.Random: the Mersenne Twister, stable for a
-# given 64-bit seed.  Recorded in corpus metadata for reproducibility.
+# Random descents shuffle with random.Random: the Mersenne Twister, stable
+# for a given 64-bit seed, so a seed gives the same stream every run.  The
+# stream is not uniform over associative tables.  Recorded in corpus
+# metadata for reproducibility.
 GENERATOR_NAME = "mt19937"
 
 MODES = ("exhaustive", "power", "random")
@@ -56,13 +59,6 @@ MODES = ("exhaustive", "power", "random")
 # adjacent bracketings; see _assoc_equations.
 Equation = tuple[int, tuple[int, ...], int, tuple[int, ...]]
 
-# Sampling budget: (2n-1)-tuples that all draws of one stream may read
-# together; one draw's associativity check builds a list of m**(2n-1)
-# values per bracketing, within core.BUILD_MAX_VALUES.  So 7-ary tables of
-# size 7 (7**13 tuples) are refused, while 4-ary tables of size 4 read
-# 4**7 = 16,384 tuples per draw and stop after 4,096 draws.
-MAX_SAMPLE_TUPLES = 1 << 26
-
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -70,7 +66,10 @@ class GenSpec:
 
     Modes: "exhaustive" (backtracking over all associative tables),
     "power" (n-fold products of all binary associative tables of the same
-    size), "random" (seeded rejection sampling; needs count).
+    size), "random" (count seeded descents of the exhaustive search, each
+    stopping at its first table; needs count).  Random streams are not
+    uniform over the associative tables, and repeat tables more often than
+    uniform draws would.  Random mode refuses what exhaustive mode refuses.
     """
 
     size: int
@@ -190,11 +189,23 @@ def _multisets(size: int, arity: int, cap: int) -> int | str:
 
 
 def _backtrack_tables(
-    size: int, arity: int, idempotent: bool, commutative: bool, canonical: bool = False
+    size: int,
+    arity: int,
+    idempotent: bool,
+    commutative: bool,
+    canonical: bool = False,
+    rng: random.Random | None = None,
+    count: int = 0,
 ) -> Iterator[NaryTable]:
     """All associative tables compatible with the filters, exactly once, in
     ascending lexicographic order of their entries; with canonical, only
     those equal to their canonical_form, in the same order.
+
+    With rng, count descents instead: each takes the values of each unit in
+    an order rng shuffles, stops at its first table, and pops the trail back
+    to the root.  A descent always ends in a table, as the constant table is
+    associative and commutative, and min is associative, commutative and
+    idempotent at every arity; it costs at most one full traversal.
 
     The search branches on the units in order, each value from 0 up, and
     propagates every assignment (after Distler's semigroup enumeration):
@@ -333,7 +344,8 @@ def _backtrack_tables(
             return
         c = firsts[u]
         mark, link_mark = len(trail), len(linked)
-        for v in range(size):
+        values = range(size) if rng is None else rng.sample(range(size), size)
+        for v in values:
             vals[c] = v
             trail.append(c)
             if propagate(mark):
@@ -345,53 +357,15 @@ def _backtrack_tables(
     for c, v in forced.items():
         vals[c] = v
         trail.append(c)
-    if propagate(0):
+    if not propagate(0):
+        return
+    if rng is None:
         yield from rec(0, live)
-
-
-def random_filtered(
-    size: int,
-    arity: int,
-    count: int,
-    seed: int,
-    idempotent: bool = False,
-    commutative: bool = False,
-) -> Iterator[NaryTable]:
-    """Seeded stream of associative tables satisfying the filters.
-
-    Draws uniformly over the structural-filter subspace (diagonal pinned by
-    idempotent, one value per argument-permutation orbit for commutative)
-    and keeps a draw iff the table is associative.  Ends after `count`
-    keepers, or earlier with an AttemptCapExhausted warning when the next
-    draw would take the tuples read past MAX_SAMPLE_TUPLES.
-    """
-    tuples = associativity_tuples(size, arity)
-    units, forced = _cell_units(size, arity, idempotent, commutative)
-    rng = random.Random(seed)
-    template: list[int] = [0] * (size**arity)
-    for c, v in forced.items():
-        template[c] = v
-    kept = 0
-    draws = 0
-    while kept < count:
-        if (draws + 1) * tuples > MAX_SAMPLE_TUPLES:
-            warnings.warn(
-                AttemptCapExhausted(
-                    f"sampling budget of {MAX_SAMPLE_TUPLES} tuples exhausted after "
-                    f"{draws} draws and {kept} of {count} tables"
-                )
-            )
-            return
-        draws += 1
-        cells = list(template)
-        for unit in units:
-            v = rng.randrange(size)
-            for c in unit:
-                cells[c] = v
-        table = NaryTable(arity, size, tuple(cells))
-        if is_associative(table):
-            kept += 1
-            yield table
+        return
+    root = len(trail), len(linked)
+    for _ in range(count):
+        yield next(rec(0, live))
+        undo(*root)
 
 
 def enumerate_tables(spec: GenSpec) -> Iterator[NaryTable]:
@@ -408,13 +382,13 @@ def enumerate_tables(spec: GenSpec) -> Iterator[NaryTable]:
         )
         stream = (t for t in stream if spec.passes_filters(t))
     else:
-        stream = random_filtered(
+        stream = _backtrack_tables(
             spec.size,
             spec.arity,
-            spec.count,
-            spec.seed,
-            idempotent=spec.idempotent,
-            commutative=spec.commutative,
+            spec.idempotent,
+            spec.commutative,
+            rng=random.Random(spec.seed),
+            count=spec.count,
         )
     if spec.dedup:
         stream = _dedup_canonical(stream)

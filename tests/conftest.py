@@ -16,7 +16,6 @@ from absorb import (
     enumerate_tables,
     is_commutative,
     is_idempotent,
-    random_filtered,
 )
 
 settings.register_profile("suite", deadline=None, derandomize=True, max_examples=50)
@@ -139,16 +138,23 @@ def checked_ternary2(ternary2):
 
 @pytest.fixture(scope="session")
 def proved_corpora(binary2, binary3):
-    """Proved-case n-ary corpora: commutative (n=3,4) and idempotent ternary."""
+    """Proved-case n-ary corpora: commutative (n=3,4) and idempotent ternary.
+
+    Each sampled shape also contributes its whole exhaustive stream, so every
+    table a sample could hold is checked."""
+
+    def sampled(size, arity, seed, **filters):
+        spec = GenSpec(size, arity, mode="random", count=200, seed=seed, **filters)
+        exhaustive = GenSpec(size, arity, **filters)
+        return list(enumerate_tables(spec)) + list(enumerate_tables(exhaustive))
+
     comm3 = [derive_power_algebra(b, 3) for b in binary3 if is_commutative(b)]
-    comm3 += list(random_filtered(3, 3, 200, SEED_COMM3, commutative=True))
+    comm3 += sampled(3, 3, SEED_COMM3, commutative=True)
     comm4 = [derive_power_algebra(b, 4) for b in binary2 if is_commutative(b)]
     comm4 += [derive_power_algebra(b, 4) for b in binary3 if is_commutative(b)]
-    comm4 += list(random_filtered(2, 4, 200, SEED_COMM4, commutative=True))
+    comm4 += sampled(2, 4, SEED_COMM4, commutative=True)
     idem3 = [derive_power_algebra(b, 3) for b in binary3 if is_idempotent(b)]
-    idem3 += list(
-        random_filtered(3, 3, 200, SEED_IDEM3, idempotent=True, commutative=True)
-    )
+    idem3 += sampled(3, 3, SEED_IDEM3, idempotent=True, commutative=True)
     return {"comm3": comm3, "comm4": comm4, "idem3": idem3}
 
 

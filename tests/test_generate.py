@@ -12,7 +12,6 @@ import absorb.core
 import absorb.criteria
 import absorb.generate
 from absorb import (
-    AttemptCapExhausted,
     BudgetExceeded,
     GenSpec,
     NaryTable,
@@ -22,10 +21,9 @@ from absorb import (
     is_associative,
     is_commutative,
     is_idempotent,
-    random_filtered,
 )
 from absorb.core import _relabeling_sources
-from absorb.generate import MAX_FREE_CELLS, _cell_units, _dedup_canonical
+from absorb.generate import MAX_FREE_CELLS, _backtrack_tables, _cell_units, _dedup_canonical
 from conftest import LEFT_ZERO, MIN2, TZ2, Z2, enumerate_pairs
 from test_core import ASSOC_BINARY2, ASSOC_TERNARY2, naive_associative
 
@@ -233,15 +231,26 @@ class TestExhaustive:
             list(enumerate_tables(GenSpec(3, 3)))
 
     def test_budget_counts_units_before_building_them(self):
-        # the budget decides exactly as the built units would
-        for m, n in ((1, 2), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)):
+        # the budget decides exactly as the built units would, in both modes
+        shapes = ((1, 2), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2))
+        for (m, n), mode in itertools.product(shapes, ("exhaustive", "random")):
             for idempotent, commutative in itertools.product((False, True), repeat=2):
                 units, _forced = _cell_units(m, n, idempotent, commutative)
-                spec = GenSpec(m, n, idempotent=idempotent, commutative=commutative)
+                spec = GenSpec(
+                    m, n, mode=mode, count=3, idempotent=idempotent, commutative=commutative
+                )
                 stream = enumerate_tables(spec)
                 if len(units) > MAX_FREE_CELLS:
                     with pytest.raises(BudgetExceeded, match=f"^{len(units)} free cells"):
                         next(stream)
+                elif mode == "random":
+                    tables = list(stream)
+                    exhaustive = dataclasses.replace(spec, mode="exhaustive")
+                    listed = {t.entries for t in enumerate_tables(exhaustive)}
+                    assert len(tables) == 3
+                    for t in tables:
+                        assert is_associative(t) and spec.passes_filters(t)
+                        assert t.entries in listed
                 else:
                     next(stream, None)
         # m**n cells would take minutes to build
@@ -252,11 +261,10 @@ class TestExhaustive:
             assert time.perf_counter() - started < 1.0
 
     @pytest.mark.parametrize(
-        "mode, power", [("exhaustive", "3^1000000"), ("random", "3^1999999")]
+        "mode, power", [("exhaustive", "3^1000000"), ("random", "3^1000000")]
     )
     def test_huge_arity_is_refused_without_the_power(self, mode, power):
-        # the message names the power it refuses: the cells of one table, or
-        # the (2n-1)-tuples of one associativity check
+        # the message names the power it refuses, the cells of one table
         started = time.perf_counter()
         with pytest.raises(BudgetExceeded) as refused:
             next(enumerate_tables(GenSpec(3, 10**6, mode=mode, count=1)))
@@ -356,14 +364,15 @@ class TestDeriveFromSemigroup:
 
 class TestRandomFiltered:
     def test_reproducible_streams(self):
-        a = [t.entries for t in random_filtered(3, 3, 10, 1, idempotent=True, commutative=True)]
-        b = [t.entries for t in random_filtered(3, 3, 10, 1, idempotent=True, commutative=True)]
+        spec = GenSpec(3, 3, mode="random", count=10, seed=1, idempotent=True, commutative=True)
+        a = [t.entries for t in enumerate_tables(spec)]
+        b = [t.entries for t in enumerate_tables(spec)]
         assert a == b
         assert len(a) == 10
 
     def test_members_of_exhaustive_list(self):
         exhaustive = {t.entries for t in ASSOC_BINARY2}
-        sample = list(random_filtered(2, 2, 5, 7))
+        sample = list(enumerate_tables(GenSpec(2, 2, mode="random", count=5, seed=7)))
         assert len(sample) == 5
         assert all(t.entries in exhaustive for t in sample)
 
@@ -373,33 +382,26 @@ class TestRandomFiltered:
                 GenSpec(2, 2, mode="random", count=count)
 
     def test_count_zero_is_empty(self):
-        assert list(random_filtered(2, 2, 0, 3)) == []
+        assert list(_backtrack_tables(2, 2, False, False, rng=random.Random(3), count=0)) == []
 
-    def test_attempt_cap_warns_and_ends_stream(self, monkeypatch):
-        # 40 draws of 2**3 tuples each
-        monkeypatch.setattr(absorb.generate, "MAX_SAMPLE_TUPLES", 40 * 8)
-        with pytest.warns(AttemptCapExhausted, match="after 40 draws"):
-            got = list(random_filtered(2, 2, 10_000, 0))
-        assert len(got) < 10_000
-
-    def test_tuple_budget_ends_a_four_ary_stream(self, monkeypatch):
-        # a 4-ary draw of size 4 reads 4**7 tuples: 5 draws, then the
-        # sixth would pass the budget
-        monkeypatch.setattr(absorb.generate, "MAX_SAMPLE_TUPLES", 6 * 4**7 - 1)
-        started = time.perf_counter()
-        with pytest.warns(AttemptCapExhausted, match="after 5 draws and 0 of 3 tables"):
-            assert list(random_filtered(4, 4, 3, 0)) == []
-        assert time.perf_counter() - started < 1.0
+    def test_every_descent_ends_in_a_table(self):
+        # every descent ends in a table, even where associative tables are
+        # rare among all commutative ones
+        spec = GenSpec(5, 2, mode="random", count=50, commutative=True)
+        tables = list(enumerate_tables(spec))
+        assert len(tables) == 50
+        assert all(is_associative(t) and is_commutative(t) for t in tables)
 
     def test_budget_counts_tuples_before_building_units(self):
-        # one associativity check would read 7**13 tuples
+        # 7-ary tables of size 7 have 7**7 free cells
         started = time.perf_counter()
-        with pytest.raises(BudgetExceeded, match="tuples per associativity check"):
+        with pytest.raises(BudgetExceeded, match="^823543 free cells"):
             next(enumerate_tables(GenSpec(7, 7, mode="random", count=1)))
         assert time.perf_counter() - started < 1.0
 
     def test_filters_hold_on_keepers(self):
-        for t in random_filtered(3, 3, 10, 5, idempotent=True, commutative=True):
+        spec = GenSpec(3, 3, mode="random", count=10, seed=5, idempotent=True, commutative=True)
+        for t in enumerate_tables(spec):
             assert is_associative(t) and is_idempotent(t) and is_commutative(t)
 
 
